@@ -46,7 +46,6 @@ from .lti import (
     behavior_basis,
     controllability_matrix,
     is_controllable,
-    is_cyclic,
     simulate,
 )
 from .numkit import (
@@ -72,7 +71,7 @@ __all__ = [
     "behavior_basis", "check_behavior_equality", "check_rank_condition",
     "check_state_rank", "construct_certificate", "construct_certificate_l0",
     "controllability_matrix", "extend_to_output", "hankel", "is_controllable",
-    "is_cyclic", "is_pe", "kernel_basis", "lambda_set", "pe_order",
-    "polynomial_roots", "rank_report", "sample_system_cloud", "simulate",
-    "single_input_family", "stack", "universality_verdict",
+    "is_pe", "kernel_basis", "lambda_set", "pe_order", "polynomial_roots",
+    "rank_report", "sample_system_cloud", "simulate", "single_input_family",
+    "stack", "universality_verdict",
 ]

@@ -41,7 +41,7 @@ from .numkit import (
     kernel_basis,
     smallest_right_singular_vector,
 )
-from .signals import Signal, hankel, is_pe, stack
+from .signals import Signal, as_signal, hankel, is_pe, stack
 
 __all__ = [
     "CounterexampleCertificate",
@@ -293,44 +293,49 @@ def _project_to_kernel(eta_flat, H, rtol):
     return proj * (norm_in / norm_pr)
 
 
-def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_override,
-             zeta_override):
-    """Shared engine behind the L >= 1 and L = 0 constructions."""
-    m = u.dim
-    T = u.length
-    k = n + L
+def _kernel_vector(u, k, rtol, cluster_radius, eta_override=None):
+    """Left-kernel vector eta of H_k(u), its annihilation residual and root set.
 
+    Refuses an input that is persistently exciting of order k. eta is
+    the best-annihilating unit vector, or ``eta_override`` snapped onto
+    the kernel; with T = k-1 the Hankel matrix has no columns and the
+    default is the last unit vector. Returns (eta as a (k, m) array,
+    max |eta^T H|, root set of eta's vector polynomial).
+    """
+    T, m = u.length, u.dim
     if k <= T:
         exciting, _ = is_pe(u, k, rtol)
         if exciting:
             raise PersistentlyExcitingError(
                 f"input is persistently exciting of order {k}; no counterexample exists"
             )
-
-    if T < k - 1:
-        return _certify_short_data(u, n, L, rtol, tol_cert, cluster_radius, seed)
-
-    # eta from the left kernel of the depth-(n+L) Hankel matrix; with
-    # T = n+L-1 the matrix has no columns and any unit vector works.
     H = hankel(u, k) if k <= T else np.zeros((k * m, 0))
-    if eta_override is not None:
+    if eta_override is None:
+        eta_flat = smallest_right_singular_vector(H.T)
+    else:
         eta_flat = as_vector(eta_override, "eta")
         if eta_flat.size != k * m:
             raise ValidationError(f"eta must have {k * m} entries, got {eta_flat.size}")
         if float(np.linalg.norm(eta_flat)) == 0.0:
             raise ValidationError("eta must be nonzero")
         eta_flat = _project_to_kernel(eta_flat, H, rtol)
-    else:
-        eta_flat = smallest_right_singular_vector(H.T if H.shape[1] else np.zeros((0, k * m)))
-    eta = eta_flat.reshape(k, m)
-    eta_norm = float(np.linalg.norm(eta_flat))
     eta_residual = float(np.abs(eta_flat @ H).max()) if H.shape[1] else 0.0
-    if eta_override is None and eta_residual > tol_cert * eta_norm:
+    eta = eta_flat.reshape(k, m)
+    return eta, eta_residual, lambda_set(eta, rtol, cluster_radius)
+
+
+def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_override,
+             zeta_override):
+    """Shared engine behind the L >= 1 and L = 0 constructions."""
+    k = n + L
+    if u.length < k - 1:
+        return _certify_short_data(u, n, L, rtol, tol_cert, cluster_radius, seed)
+
+    eta, eta_residual, lam = _kernel_vector(u, k, rtol, cluster_radius, eta_override)
+    if eta_override is None and eta_residual > tol_cert * float(np.linalg.norm(eta)):
         raise ConstructionError(
             f"kernel vector annihilates the input Hankel matrix only to {eta_residual:.3e}"
         )
-
-    lam = lambda_set(eta, rtol, cluster_radius)
 
     if zeta_override is not None:
         zeta = as_vector(zeta_override, "zeta")
@@ -356,38 +361,20 @@ def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_over
 
     failures = []
     for tag, A in candidates:
-        parts = _try_build(u, n, m, L, A, zeta, eta, lam, rtol, tol_cert, cluster_radius)
-        if isinstance(parts, str):
-            failures.append(f"A[{tag}]: {parts}")
-            continue
-        E_desc, B, x0, states, xi, v, w, checks = parts
-        return CounterexampleCertificate(
-            n=n, m=m, L=L, T=T,
-            eta=eta, lam=lam, A=A, zeta=zeta, E=E_desc, B=B, x0=x0, xi=xi, v=v, w=w,
-            residual_annihilation=checks["annihilation"],
-            rank_deficit_confirmed=True,
-            short_data_case=False,
-            states=states,
-            stacked_rank=checks["stacked_rank"],
-            residuals={
-                "annihilation": checks["annihilation"],
-                "eta_annihilation": eta_residual,
-                "recursion": checks["recursion"],
-                "closed_form": checks["closed_form"],
-                "xi_orthogonality": checks["xi_orthogonality"],
-            },
-            seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=cluster_radius,
-        )
+        cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert,
+                          cluster_radius, seed)
+        if not isinstance(cert, str):
+            return cert
+        failures.append(f"A[{tag}]: {cert}")
     raise ConstructionError(
         "numerical construction failed for all eigenvalue candidates: " + "; ".join(failures)
     )
 
 
-def _try_build(u, n, m, L, A, zeta, eta, lam, rtol, tol_cert, cluster_radius):
-    """One construction attempt; returns parts or a failure reason string."""
-    T = u.length
-    eigs = np.linalg.eigvals(A)
-    if len(lam) and min(lam.distance(z) for z in eigs) <= cluster_radius:
+def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, cluster_radius, seed):
+    """One construction attempt; a verified certificate or a failure reason string."""
+    m, T = u.dim, u.length
+    if any(lam.contains(z) for z in np.linalg.eigvals(A)):
         return "spectrum intersects the forbidden root set"
 
     ctrl_zeta, _ = is_controllable(A, zeta.reshape(-1, 1), rtol)
@@ -451,14 +438,23 @@ def _try_build(u, n, m, L, A, zeta, eta, lam, rtol, tol_cert, cluster_radius):
     if srep.rank >= n + L * m:
         return f"stacked matrix rank {srep.rank} is not deficient"
 
-    checks = {
-        "annihilation": residual,
-        "recursion": recursion_residual,
-        "closed_form": closed_form_residual,
-        "xi_orthogonality": xi_orth,
-        "stacked_rank": srep,
-    }
-    return E_desc, B, x0, states, xi, v, w, checks
+    return CounterexampleCertificate(
+        n=n, m=m, L=L, T=T,
+        eta=eta, lam=lam, A=A, zeta=zeta, E=E_desc, B=B, x0=x0, xi=xi, v=v, w=w,
+        residual_annihilation=residual,
+        rank_deficit_confirmed=True,
+        short_data_case=False,
+        states=states,
+        stacked_rank=srep,
+        residuals={
+            "annihilation": residual,
+            "eta_annihilation": eta_residual,
+            "recursion": recursion_residual,
+            "closed_form": closed_form_residual,
+            "xi_orthogonality": xi_orth,
+        },
+        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=cluster_radius,
+    )
 
 
 def _certify_short_data(u, n, L, rtol, tol_cert, cluster_radius, seed):
@@ -524,8 +520,7 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
         ConstructionError: no eigenvalue candidate produced a verifiable
             certificate (diagnostics included).
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     if n < 1:
         raise ValidationError("n must be positive")
     if L < 1 or L > u.length:
@@ -543,8 +538,7 @@ def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT,
     the whole state row H_1(x(0)..x(T)). The final input sample does
     not influence those states and is ignored by the construction.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     if n < 1:
         raise ValidationError("n must be positive")
     if u.length < 2:
@@ -568,8 +562,7 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
         raise ValidationError("output-level extension needs L >= 1")
     if p < 1:
         raise ValidationError("p must be positive")
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     if u.dim != cert.m or u.length != cert.T:
         raise ValidationError("input signal does not match the certificate")
 
@@ -622,8 +615,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
         EigenvalueConflictError: spec(A) touches the root set.
         NearSingularError: S is too ill-conditioned to invert.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     if u.dim != 1:
         raise ValidationError("single-input family requires m = 1")
     if n < 1:
@@ -639,23 +631,12 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
     if float(np.linalg.norm(b)) == 0.0:
         raise ValidationError("B must be nonzero")
 
-    T, m, k = u.length, 1, n + L
-    if T < k - 1:
-        raise ValidationError(f"need T >= n+L-1 = {k - 1} samples, got {T}")
-    if k <= T:
-        exciting, _ = is_pe(u, k, rtol)
-        if exciting:
-            raise PersistentlyExcitingError(
-                f"input is persistently exciting of order {k}; no counterexample exists"
-            )
+    k = n + L
+    if u.length < k - 1:
+        raise ValidationError(f"need T >= n+L-1 = {k - 1} samples, got {u.length}")
+    eta, eta_residual, lam = _kernel_vector(u, k, rtol, cluster_radius)
 
-    H = hankel(u, k) if k <= T else np.zeros((k, 0))
-    eta_flat = smallest_right_singular_vector(H.T if H.shape[1] else np.zeros((0, k)))
-    eta = eta_flat.reshape(k, 1)
-    lam = lambda_set(eta, rtol, cluster_radius)
-
-    eigs = np.linalg.eigvals(A)
-    if len(lam) and min(lam.distance(z) for z in eigs) <= cluster_radius:
+    if any(lam.contains(z) for z in np.linalg.eigvals(A)):
         raise EigenvalueConflictError(
             "spec(A) intersects the root set of the kernel vector; pick a different A"
         )
@@ -669,30 +650,13 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
         raise NearSingularError("sum_i eta_i A^i is near-singular; certificate would be unreliable")
     zeta = np.linalg.solve(S, b)
 
-    parts = _try_build(u, n, m, L, A, zeta, eta, lam, rtol, tol_cert, cluster_radius)
-    if isinstance(parts, str):
-        raise ConstructionError(f"single-input construction failed: {parts}")
-    E_desc, B_rec, x0, states, xi, v, w, checks = parts
-    if float(np.abs(B_rec - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):
+    cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert,
+                      cluster_radius, SEED)
+    if isinstance(cert, str):
+        raise ConstructionError(f"single-input construction failed: {cert}")
+    if float(np.abs(cert.B - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):
         raise ConstructionError("recursion did not reproduce the supplied B")
-    eta_residual = float(np.abs(eta_flat @ H).max()) if H.shape[1] else 0.0
-    return CounterexampleCertificate(
-        n=n, m=m, L=L, T=T,
-        eta=eta, lam=lam, A=A, zeta=zeta, E=E_desc, B=B_rec, x0=x0, xi=xi, v=v, w=w,
-        residual_annihilation=checks["annihilation"],
-        rank_deficit_confirmed=True,
-        short_data_case=False,
-        states=states,
-        stacked_rank=checks["stacked_rank"],
-        residuals={
-            "annihilation": checks["annihilation"],
-            "eta_annihilation": eta_residual,
-            "recursion": checks["recursion"],
-            "closed_form": checks["closed_form"],
-            "xi_orthogonality": checks["xi_orthogonality"],
-        },
-        seed=SEED, rtol=rtol, tol_cert=tol_cert, cluster_radius=cluster_radius,
-    )
+    return cert
 
 
 def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL, tol_cert=TOL_CERT,
@@ -706,31 +670,23 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL, tol_cert=TOL_CERT,
     emitted point is re-verified by an independent rank check on its
     simulated data.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     n = 1
     m, T, k = u.dim, u.length, 1 + L
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
-    if T < k - 1:
-        raise ValidationError(f"need T >= L = {k - 1} samples, got {T}")
-    if k <= T:
-        exciting, _ = is_pe(u, k, rtol)
-        if exciting:
-            raise PersistentlyExcitingError(
-                f"input is persistently exciting of order {k}; the family is empty"
-            )
-
-    H = hankel(u, k) if k <= T else np.zeros((k * m, 0))
-    eta_flat = smallest_right_singular_vector(H.T if H.shape[1] else np.zeros((0, k * m)))
-    eta = eta_flat.reshape(k, m)
-    lam = lambda_set(eta, rtol, cluster_radius)
+    try:
+        eta, _, lam = _kernel_vector(u, k, rtol, cluster_radius)
+    except PersistentlyExcitingError as exc:
+        raise PersistentlyExcitingError(
+            f"input is persistently exciting of order {k}; the family is empty"
+        ) from exc
 
     Hu = hankel(u, L)
     points = []
     n_skipped = 0
     for a, zeta_s in np.asarray(pairs, dtype=float).reshape(-1, 2):
-        if zeta_s == 0.0 or lam.distance(a) <= cluster_radius:
+        if zeta_s == 0.0 or lam.contains(a):
             n_skipped += 1
             continue
         # scalar-state recursion: E_i are (m,) rows, E_L = 0

@@ -20,7 +20,7 @@ from .defaults import CLUSTER_RADIUS, RTOL, SEED, TOL_CERT
 from .errors import NotATrajectoryError, ValidationError
 from .lti import StateSpaceSystem, behavior_basis, markov_toeplitz, observability_matrix, simulate
 from .numkit import RankReport, rank_report
-from .signals import PEReport, Signal, hankel, pe_order, stack
+from .signals import PEReport, Signal, as_signal, hankel, pe_order, stack
 
 __all__ = [
     "LemmaCheck",
@@ -72,10 +72,8 @@ def check_rank_condition(u: Signal, x: Signal, L, n, rtol=RTOL) -> RankReport:
     ``x`` must hold the states x(0)..x(T-L) of a trajectory driven by u;
     full row rank means rank = n + L*m.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
-    if not isinstance(x, Signal):
-        x = Signal(x)
+    u = as_signal(u)
+    x = as_signal(x)
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
     if x.dim != n:
@@ -116,10 +114,8 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
     three-rank test at one tolerance; the containment of the data span
     in the behavior holds for trajectories by construction.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
-    if not isinstance(y, Signal):
-        y = Signal(y)
+    u = as_signal(u)
+    y = as_signal(y)
     if u.dim != sys.m or y.dim != sys.p:
         raise ValidationError("data dimensions do not match the system")
     if u.length != y.length:
@@ -146,10 +142,8 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
 
 def check_state_rank(u: Signal, x: Signal, n, rtol=RTOL) -> RankReport:
     """Row-rank report on the bare state Hankel matrix H_1(x(0)..x(T))."""
-    if not isinstance(u, Signal):
-        u = Signal(u)
-    if not isinstance(x, Signal):
-        x = Signal(x)
+    u = as_signal(u)
+    x = as_signal(x)
     if x.dim != n:
         raise ValidationError(f"state dim {x.dim} does not match n={n}")
     if x.length != u.length + 1:
@@ -165,8 +159,7 @@ def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
     always carries a verified counterexample certificate: a controllable
     pair and an initial state whose data is rank-deficient.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
     if n < 1:

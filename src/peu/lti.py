@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import RTOL, SEED
+from .defaults import RTOL
 from .errors import ValidationError
 from .numkit import as_matrix, as_vector, rank_report
-from .signals import Signal
+from .signals import Signal, as_signal
 
 __all__ = [
     "StateSpaceSystem",
@@ -25,7 +25,6 @@ __all__ = [
     "simulate",
     "controllability_matrix",
     "is_controllable",
-    "is_cyclic",
     "observability_matrix",
     "markov_toeplitz",
     "behavior_basis",
@@ -65,8 +64,6 @@ class StateSpaceSystem:
         """System whose output is the full state: (A, B, I, 0)."""
         A = as_matrix(A, "A")
         B = as_matrix(B, "B")
-        if B.shape[0] != A.shape[0] and B.ndim == 2 and B.shape == (1, A.shape[0]):
-            B = B.T
         n = A.shape[0]
         return cls(A, B, np.eye(n), np.zeros((n, B.shape[1])))
 
@@ -120,8 +117,7 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
     The returned state signal has length T+1 (the post-input state x(T)
     is kept); the output has length T.
     """
-    if not isinstance(u, Signal):
-        u = Signal(u)
+    u = as_signal(u)
     x0 = as_vector(x0, "x0")
     if u.dim != sys.m:
         raise ValidationError(f"input dim {u.dim} does not match system m={sys.m}")
@@ -138,12 +134,12 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
 
 
 def controllability_matrix(A, B) -> np.ndarray:
-    """Kalman matrix [B, AB, ..., A^(n-1) B]."""
+    """Kalman matrix [B, AB, ..., A^(n-1) B]; B must have n rows."""
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
-    if B.ndim == 2 and B.shape[0] != A.shape[0] and B.shape[1] == A.shape[0]:
-        B = B.T
     n = A.shape[0]
+    if B.shape[0] != n:
+        raise ValidationError(f"B must have {n} rows, got {B.shape}")
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
@@ -158,12 +154,7 @@ def is_controllable(A, B, rtol=RTOL):
     scaling preserves the span, hence the rank.
     """
     A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if B.ndim == 2 and B.shape[0] != A.shape[0] and B.shape[1] == A.shape[0]:
-        B = B.T
     n = A.shape[0]
-    if B.shape[0] != n:
-        raise ValidationError(f"B must have {n} rows, got {B.shape}")
     As = A
     if n > 6:
         rho = float(np.abs(np.linalg.eigvals(A)).max()) if n else 0.0
@@ -171,32 +162,6 @@ def is_controllable(A, B, rtol=RTOL):
             As = A / rho
     rep = rank_report(controllability_matrix(As, B), rtol)
     return rep.rank == n, rep
-
-
-def is_cyclic(A, rtol=RTOL, rng=None):
-    """Whether some vector zeta makes (A, zeta) controllable.
-
-    Returns (verdict, zeta) with zeta None on a negative verdict. The
-    last canonical basis vector is tried first (it witnesses every
-    companion/Jordan form), then 16 Gaussian draws; cyclicity holds for
-    generic zeta whenever it holds at all, and the largest Krylov rank
-    seen across attempts estimates the minimal-polynomial degree, so a
-    16-fold failure makes the negative verdict safe.
-    """
-    A = as_matrix(A, "A")
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValidationError("A must be square")
-    if rng is None:
-        rng = np.random.default_rng(SEED)
-    e_n = np.zeros((n, 1))
-    e_n[-1, 0] = 1.0
-    candidates = [e_n] + [rng.standard_normal((n, 1)) for _ in range(16)]
-    for zeta in candidates:
-        ok, _ = is_controllable(A, zeta, rtol)
-        if ok:
-            return True, zeta.reshape(-1)
-    return False, None
 
 
 def observability_matrix(C, A, L) -> np.ndarray:

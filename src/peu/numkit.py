@@ -3,8 +3,12 @@
 Matrices are plain 2-D float64 numpy arrays, validated on entry (finite
 entries only). Every rank decision in the package flows through
 ``rank_report`` so that each claim carries its singular values and the
-tolerance that produced it. Complex arithmetic stays inside this module:
-callers receive real matrices and ``RootSet`` values.
+tolerance that produced it. One tolerance rule serves ``rank_report`` and
+``kernel_basis``: a singular value counts as nonzero when it exceeds
+``rtol * max(rows, cols) * sigma_max`` (plain ``rtol`` when sigma_max is
+0), which ``rank_report`` may raise to an absolute floor ``atol``.
+Complex arithmetic stays inside this module: callers receive real
+matrices and ``RootSet`` values.
 """
 
 from __future__ import annotations
@@ -105,6 +109,12 @@ class RootSet:
         }
 
 
+def _tolerance(s, shape, rtol):
+    """The rank tolerance for singular values ``s`` (non-increasing) of a ``shape`` matrix."""
+    smax = float(s[0]) if s.size else 0.0
+    return rtol * max(shape) * smax if smax > 0 else rtol
+
+
 def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
     """Singular-value rank decision for a dense matrix.
 
@@ -129,8 +139,7 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
         s = np.zeros(0)
     else:
         s = np.linalg.svd(A, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    tol = max(rtol * max(rows, cols) * smax if smax > 0 else rtol, atol)
+    tol = max(_tolerance(s, A.shape, rtol), atol)
     rank = int(np.sum(s > tol))
     return RankReport(
         rank=rank,
@@ -155,9 +164,7 @@ def kernel_basis(M, rtol=RTOL):
     if rows == 0 or cols == 0:
         return np.eye(cols)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    tol = rtol * max(rows, cols) * smax if smax > 0 else rtol
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > _tolerance(s, A.shape, rtol)))
     return vh[rank:].T.copy()
 
 

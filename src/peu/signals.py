@@ -16,7 +16,7 @@ from .defaults import RTOL
 from .errors import ValidationError
 from .numkit import rank_report
 
-__all__ = ["Signal", "PEReport", "stack", "hankel", "pe_order", "is_pe"]
+__all__ = ["Signal", "PEReport", "as_signal", "stack", "hankel", "pe_order", "is_pe"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,11 @@ class Signal:
         return Signal(self.samples[start:stop])
 
 
+def as_signal(v) -> Signal:
+    """Pass a ``Signal`` through; wrap anything else (validated by ``Signal``)."""
+    return v if isinstance(v, Signal) else Signal(v)
+
+
 @dataclass(frozen=True)
 class PEReport:
     """Per-order excitation ranks for k = 1..floor((T+1)/(dim+1)).
@@ -86,8 +91,7 @@ def hankel(v: Signal, k: int) -> np.ndarray:
 
     Shape (k*dim, T-k+1); columns are the overlapping k-long windows.
     """
-    if not isinstance(v, Signal):
-        v = Signal(v)
+    v = as_signal(v)
     T, d = v.length, v.dim
     if not (1 <= k <= T):
         raise ValidationError(f"Hankel depth k={k} out of range [1, {T}]")
@@ -106,8 +110,7 @@ def pe_order(v: Signal, rtol=RTOL) -> PEReport:
     ``max_order`` there even if a later factorization were to disagree
     (an order-k exciting signal is exciting at every lower order).
     """
-    if not isinstance(v, Signal):
-        v = Signal(v)
+    v = as_signal(v)
     k_cap = (v.length + 1) // (v.dim + 1)
     reports = []
     max_order = 0
@@ -127,7 +130,6 @@ def is_pe(v: Signal, k: int, rtol=RTOL):
 
     Returns (verdict, RankReport) for the depth-k Hankel matrix.
     """
-    if not isinstance(v, Signal):
-        v = Signal(v)
+    v = as_signal(v)
     rep = rank_report(hankel(v, k), rtol)
     return rep.full_row_rank, rep

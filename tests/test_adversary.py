@@ -252,6 +252,20 @@ class TestSingleInputFamily:
         with pytest.raises(ValidationError):
             single_input_family(Signal(np.ones((6, 2))), 2, 1, np.eye(2), np.ones(2))
 
+    def test_exciting_input_rejected(self):
+        u = Signal(np.random.default_rng(83).standard_normal(20))
+        with pytest.raises(PersistentlyExcitingError):
+            single_input_family(u, 2, 1, np.diag([0.5, 2.0]), np.ones(2))
+
+    def test_boundary_length(self):
+        # T = n+L-1: the depth-(n+L) Hankel matrix has no columns, so eta
+        # is the last unit vector and its root set is {0}
+        u = Signal(np.random.default_rng(89).standard_normal(3))
+        cert = single_input_family(u, 2, 2, np.diag([0.5, 2.0]), np.ones(2))
+        np.testing.assert_array_equal(cert.eta.ravel(), [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(cert.B.ravel(), np.ones(2), atol=1e-10)
+        assert cert.stacked_rank.rank < 4
+
 
 class TestSampleSystemCloud:
     def test_red_dot_membership(self, ex3_input, ex3_reddot):
@@ -285,6 +299,20 @@ class TestSampleSystemCloud:
         cloud = sample_system_cloud(u, 1, [[1.0, 0.5], [0.5, 0.0], [0.3, 1.0]])
         assert cloud.n_skipped == 2
         assert len(cloud.points) == 1 and cloud.points[0].verified
+
+    def test_exciting_input_rejected(self):
+        u = Signal(np.random.default_rng(97).standard_normal(20))
+        with pytest.raises(PersistentlyExcitingError, match="the family is empty"):
+            sample_system_cloud(u, 2, [[0.5, 1.0]])
+
+    def test_boundary_length(self):
+        # T = L: eta is the last unit vector, so a = 0 is in the root set
+        # and b = a^L * zeta
+        u = Signal(np.random.default_rng(101).standard_normal(2))
+        cloud = sample_system_cloud(u, 2, [[0.5, 2.0], [0.0, 1.0]])
+        assert cloud.n_skipped == 1
+        assert len(cloud.points) == 1 and cloud.points[0].verified
+        np.testing.assert_allclose(cloud.points[0].b, [0.5], rtol=1e-15)
 
 
 class TestFuzz:

@@ -8,7 +8,6 @@ from peu import (
     behavior_basis,
     construct_certificate,
     is_controllable,
-    is_cyclic,
     simulate,
 )
 from peu.lti import controllability_matrix, markov_toeplitz, observability_matrix
@@ -111,24 +110,16 @@ class TestControllability:
             ok2, _ = is_controllable(T @ sys.A @ Ti, T @ sys.B)
             assert ok1 == ok2 == True  # noqa: E712
 
-
-class TestCyclicity:
-    def test_jordan_blocks(self):
-        for n in (1, 2, 4, 6):
-            J = np.eye(n) * 0.5 + np.diag(np.ones(n - 1), 1) if n > 1 else np.eye(1) * 0.5
-            ok, zeta = is_cyclic(J)
-            assert ok
-            e_n = np.zeros(n)
-            e_n[-1] = 1.0
-            np.testing.assert_array_equal(zeta, e_n)  # deterministic first witness
-
-    def test_identity_not_cyclic(self):
-        ok, zeta = is_cyclic(np.eye(2))
-        assert not ok and zeta is None
-
-    def test_reference_matrix(self, ex2_values):
-        ok, zeta = is_cyclic(ex2_values["A"])
-        assert ok and zeta is not None
+    def test_row_shaped_input_matrix_rejected(self):
+        # B must have n rows; a (1, n) row is not read as its transpose
+        for n in (2, 3):
+            A, B = np.eye(n), np.ones((1, n))
+            with pytest.raises(ValidationError):
+                is_controllable(A, B)
+            with pytest.raises(ValidationError):
+                controllability_matrix(A, B)
+            with pytest.raises(ValidationError):
+                StateSpaceSystem.from_state_pair(A, B)
 
 
 class TestBehaviorBasis:

@@ -40,6 +40,7 @@ from .numkit import (
     rank_report,
     kernel_basis,
     smallest_right_singular_vector,
+    stacked_ranks,
 )
 from .signals import Signal, as_signal, hankel, is_pe, stack
 
@@ -164,6 +165,9 @@ class CloudResult:
         if not self.points:
             return 0.0
         return sum(p.verified for p in self.points) / len(self.points)
+
+
+_CLOUD_BLOCK = 256  # points per batch in sample_system_cloud; bounds its memory
 
 
 def _jordan_block(lam, n):
@@ -669,6 +673,12 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL, tol_cert=TOL_CERT,
     with ``a`` inside the root set are skipped and counted. Each
     emitted point is re-verified by an independent rank check on its
     simulated data.
+
+    The kept samples are handled in fixed blocks of points: one block
+    runs the recursion and the state steps as array operations, with the
+    same floating-point operations per point as one point at a time, and
+    ``stacked_ranks`` decides all of its rank checks in one batched SVD.
+    Blocking bounds the memory of a large cloud.
     """
     u = as_signal(u)
     n = 1
@@ -682,27 +692,31 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL, tol_cert=TOL_CERT,
             f"input is persistently exciting of order {k}; the family is empty"
         ) from exc
 
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    kept = pairs[np.array([not (zeta_s == 0.0 or lam.contains(a)) for a, zeta_s in pairs],
+                          dtype=bool)]
     Hu = hankel(u, L)
+    stack = np.empty((min(len(kept), _CLOUD_BLOCK), L * m + 1, T - L + 1))
+    stack[:, :-1, :] = Hu
     points = []
-    n_skipped = 0
-    for a, zeta_s in np.asarray(pairs, dtype=float).reshape(-1, 2):
-        if zeta_s == 0.0 or lam.contains(a):
-            n_skipped += 1
-            continue
-        # scalar-state recursion: E_i are (m,) rows, E_L = 0
-        rows = [np.zeros(m)]
+    for start in range(0, len(kept), _CLOUD_BLOCK):
+        a, zeta_s = kept[start:start + _CLOUD_BLOCK].T
+        N = a.size
+        # scalar-state recursion: E_i are (N, m) rows, E_L = 0
+        rows = [np.zeros((N, m))]
         for i in range(k - 1, -1, -1):
-            rows.append(a * rows[-1] + zeta_s * eta[i])
+            rows.append(a[:, None] * rows[-1] + zeta_s[:, None] * eta[i])
         b = rows[-1]  # E_{-1}
-        x0 = 0.0
+        # np.vecdot gives each C-contiguous row the bits of the 1-D ``row @ u[t]``;
+        # a matrix-vector ``E @ u[t]`` and einsum round differently for m >= 2
+        x0 = np.zeros(N)
         for i in range(k - 1):
-            x0 -= float(rows[k - 1 - i] @ u.samples[i])  # rows[k-1-i] = E_i
-        x = np.empty(T - L + 1)
-        x[0] = x0
+            x0 -= np.vecdot(rows[k - 1 - i], u.samples[i])  # rows[k-1-i] = E_i
+        x = stack[:N, -1, :]
+        x[:, 0] = x0
         for t in range(T - L):
-            x[t + 1] = a * x[t] + float(b @ u.samples[t])
-        stacked = np.vstack([Hu, x[None, :]])
-        rep = rank_report(stacked, rtol)
-        points.append(CloudPoint(a=float(a), b=b.copy(), x0=float(x0),
-                                 verified=rep.rank < n + L * m))
-    return CloudResult(points=tuple(points), n_skipped=n_skipped)
+            x[:, t + 1] = a * x[:, t] + np.vecdot(b, u.samples[t])
+        verified = stacked_ranks(stack[:N], rtol) < n + L * m
+        points += [CloudPoint(a=float(a[j]), b=b[j].copy(), x0=float(x0[j]),
+                              verified=bool(verified[j])) for j in range(N)]
+    return CloudResult(points=tuple(points), n_skipped=len(pairs) - len(kept))

@@ -334,9 +334,8 @@ def cmd_cloud(args) -> int:
     buf.write(cfg.comment_line() + f" skipped={result.n_skipped}\n")
     buf.write("a," + ",".join(f"b{j + 1}" for j in range(u.dim)) + ",x0,verified\n")
     for pt in result.points:
-        buf.write(repr(pt.a) + ","
-                  + ",".join(repr(float(b)) for b in pt.b) + ","
-                  + repr(pt.x0) + "," + ("1" if pt.verified else "0") + "\n")
+        buf.write(",".join(map(repr, [pt.a, *pt.b.tolist(), pt.x0]))
+                  + (",1\n" if pt.verified else ",0\n"))
     _write_text(args.out, buf.getvalue())
     return EXIT_OK
 

@@ -1,9 +1,11 @@
 """Dense matrix kernel: rank reports, null spaces, polynomial roots.
 
 Matrices are plain 2-D float64 numpy arrays, validated on entry (finite
-entries only). Every rank decision in the package flows through
+entries only). Every single rank decision in the package flows through
 ``rank_report`` so that each claim carries its singular values and the
-tolerance that produced it. One tolerance rule serves ``rank_report`` and
+tolerance that produced it; ``stacked_ranks`` decides a whole stack of
+matrices at once by the same rule and returns the ranks only. One
+tolerance rule serves ``rank_report``, ``stacked_ranks`` and
 ``kernel_basis``: a singular value counts as nonzero when it exceeds
 ``rtol * max(rows, cols) * sigma_max`` (plain ``rtol`` when sigma_max is
 0), which ``rank_report`` may raise to an absolute floor ``atol``.
@@ -26,6 +28,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "rank_report",
+    "stacked_ranks",
     "kernel_basis",
     "polynomial_roots",
     "lambda_set",
@@ -110,9 +113,13 @@ class RootSet:
 
 
 def _tolerance(s, shape, rtol):
-    """The rank tolerance for singular values ``s`` (non-increasing) of a ``shape`` matrix."""
-    smax = float(s[0]) if s.size else 0.0
-    return rtol * max(shape) * smax if smax > 0 else rtol
+    """The rank tolerance for singular values ``s`` of ``shape`` matrices.
+
+    ``s`` is non-increasing along its last axis; the result has one
+    tolerance per matrix (a 0-d array for a single matrix).
+    """
+    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    return np.where(smax > 0, rtol * max(shape) * smax, rtol)
 
 
 def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
@@ -149,6 +156,28 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
         full_col_rank=rank == cols,
         shape=(rows, cols),
     )
+
+
+def stacked_ranks(M, rtol=RTOL):
+    """Ranks of a stack of matrices, decided as ``rank_report`` decides them.
+
+    Args:
+        M: (N, rows, cols) array of N matrices with finite entries.
+        rtol: relative tolerance; must be positive.
+
+    Returns:
+        (N,) integer array; entry i equals ``rank_report(M[i], rtol).rank``.
+        One batched SVD serves the whole stack, and no reports are built.
+    """
+    S = np.asarray(M, dtype=float)
+    if S.ndim != 3:
+        raise ValidationError(f"stack must be 3-D, got ndim={S.ndim}")
+    if S.size and not np.all(np.isfinite(S)):
+        raise ValidationError("matrix contains non-finite entries")
+    if rtol <= 0:
+        raise ValidationError("rtol must be positive")
+    s = np.linalg.svd(S, compute_uv=False)
+    return np.sum(s > _tolerance(s, S.shape[1:], rtol)[:, None], axis=1)
 
 
 def kernel_basis(M, rtol=RTOL):

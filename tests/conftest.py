@@ -172,22 +172,23 @@ def random_controllable_system(rng, n, m, p, cond_cap=1e8, rtol=1e-9):
     raise RuntimeError("failed to draw a well-conditioned controllable system")
 
 
-def non_exciting_input(rng, n, m, L, T):
-    """Input of length T annihilated by a random kernel vector.
+def non_exciting_input(rng, n, m, L, T, eta=None):
+    """Input of length T annihilated by a random (or the given) kernel vector.
 
     Draws eta with a healthy trailing block, seeds the first n+L-1
     samples, then extends by solving the annihilation recursion for the
     trailing sample of each window; the depth-(n+L) Hankel matrix then
     has a left null vector by construction, so the signal cannot be
-    persistently exciting of order n+L.
+    persistently exciting of order n+L. A given ``eta`` is an (n+L, m)
+    array with a nonzero last row.
     """
     k = n + L
     assert T >= k - 1
-    while True:
+    while eta is None:
         eta = rng.standard_normal((k, m))
-        tail = eta[-1]
-        if np.linalg.norm(tail) > 0.3:
-            break
+        if np.linalg.norm(eta[-1]) <= 0.3:
+            eta = None
+    tail = eta[-1]
     u = np.zeros((T, m))
     u[: k - 1] = rng.standard_normal((k - 1, m))
     tail_unit = tail / (tail @ tail)

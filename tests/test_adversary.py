@@ -14,6 +14,8 @@ from peu import (
     sample_system_cloud,
     single_input_family,
 )
+from peu.defaults import CLUSTER_RADIUS, RTOL
+from peu.numkit import lambda_set, rank_report, smallest_right_singular_vector
 from peu.signals import hankel
 
 from conftest import non_exciting_input, xi_at_reading
@@ -267,7 +269,76 @@ class TestSingleInputFamily:
         assert cert.stacked_rank.rank < 4
 
 
+def _cloud_point_by_point(u, L, pairs):
+    """Reference: the cloud one sample at a time, each rank checked by ``rank_report``.
+
+    This is the loop ``sample_system_cloud`` ran before it worked in
+    blocks; the blocked version must reproduce it bit for bit.
+    """
+    m, T, k = u.dim, u.length, 1 + L
+    eta = smallest_right_singular_vector(hankel(u, k).T).reshape(k, m)
+    lam = lambda_set(eta, RTOL, CLUSTER_RADIUS)
+    Hu = hankel(u, L)
+    points, n_skipped = [], 0
+    for a, zeta_s in np.asarray(pairs, dtype=float).reshape(-1, 2):
+        if zeta_s == 0.0 or lam.contains(a):
+            n_skipped += 1
+            continue
+        rows = [np.zeros(m)]
+        for i in range(k - 1, -1, -1):
+            rows.append(a * rows[-1] + zeta_s * eta[i])
+        b = rows[-1]
+        x0 = 0.0
+        for i in range(k - 1):
+            x0 -= float(rows[k - 1 - i] @ u.samples[i])
+        x = np.empty(T - L + 1)
+        x[0] = x0
+        for t in range(T - L):
+            x[t + 1] = a * x[t] + float(b @ u.samples[t])
+        rep = rank_report(np.vstack([Hu, x[None, :]]), RTOL)
+        points.append((float(a), b.copy(), float(x0), rep.rank < 1 + L * m))
+    return points, n_skipped
+
+
 class TestSampleSystemCloud:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_blocks_match_point_by_point(self, m, L):
+        rng = np.random.default_rng(100 * m + L)
+        pole = 0.7
+        # every coordinate polynomial of eta vanishes at the pole, so the pole is in
+        # the root set; enough columns leave eta the only left-kernel direction
+        eta = np.column_stack([np.convolve([-pole, 1.0], rng.standard_normal(L))
+                               for _ in range(m)])
+        u, _ = non_exciting_input(rng, 1, m, L, (L + 1) * (m + 1) + 2, eta=eta)
+        pairs = np.column_stack([rng.uniform(-1.5, 1.5, 600), rng.uniform(-2, 2, 600)])
+        pairs[::7, 1] = 0.0
+        pairs[3::11, 0] = pole
+        pairs[5::13, 0] = pole + 0.5 * CLUSTER_RADIUS
+        expected, expected_skipped = _cloud_point_by_point(u, L, pairs)
+        cloud = sample_system_cloud(u, L, pairs)
+        assert cloud.n_skipped == expected_skipped
+        assert expected_skipped >= np.sum((pairs[:, 1] == 0.0) | (pairs[:, 0] == pole))
+        assert len(cloud.points) == len(expected) > 256  # more than one block
+        for pt, (a, b, x0, verified) in zip(cloud.points, expected):
+            assert type(pt.a) is float and type(pt.x0) is float and type(pt.verified) is bool
+            assert pt.a == a and pt.x0 == x0 and pt.verified == verified
+            assert pt.b.shape == (m,) and pt.b.tobytes() == b.tobytes()
+
+    def test_empty_pairs(self, ex3_input):
+        u = Signal(ex3_input)
+        for pairs in ([], np.empty((0, 2))):
+            cloud = sample_system_cloud(u, 2, pairs)
+            assert cloud.points == () and cloud.n_skipped == 0
+        cloud = sample_system_cloud(u, 2, [[0.3, 0.0], [0.5, 0.0]])
+        assert cloud.points == () and cloud.n_skipped == 2
+
+    def test_non_finite_states_rejected(self):
+        # a = 1e40 overflows the states of a 12-sample input
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                sample_system_cloud(Signal(np.ones(12)), 2, [[1e40, 1.0]])
+
     def test_red_dot_membership(self, ex3_input, ex3_reddot):
         u = Signal(ex3_input)
         a, L = ex3_reddot["a"], ex3_reddot["L"]

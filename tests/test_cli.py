@@ -281,6 +281,17 @@ class TestCloud:
                   "--seed", "7", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_finite_states_rejected(self, tmp_path, capsys):
+        signal = tmp_path / "ones.csv"
+        write_signal_csv(str(signal), Signal(np.ones(12)), RunConfig())
+        out = tmp_path / "points.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["cloud", str(signal), "--L", "2", "--ranges", "1e40,2e40,1,2",
+                         "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.endswith("error: matrix contains non-finite entries\n")
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("PEU_SEED", "12")

@@ -10,7 +10,7 @@ from peu import (
     polynomial_roots,
     rank_report,
 )
-from peu.numkit import smallest_right_singular_vector
+from peu.numkit import smallest_right_singular_vector, stacked_ranks
 from peu.signals import Signal, hankel
 
 from oracles import exact_rank, expand_from_roots
@@ -68,6 +68,54 @@ class TestRankReport:
             r, c = rng.integers(1, 9, size=2)
             M = rng.integers(-3, 4, size=(r, c)).astype(float)
             assert rank_report(M).rank == exact_rank(M)
+
+
+class TestStackedRanks:
+    @staticmethod
+    def random_stack(rng, N, r, c):
+        """N random r x c matrices: full rank, rank-deficient, all-zero and tiny-scaled."""
+        M = rng.standard_normal((N, r, c))
+        for i in range(N):
+            kind = i % 4
+            if kind == 1:  # rank k < min(r, c)
+                k = int(rng.integers(0, min(r, c)))
+                M[i] = rng.standard_normal((r, k)) @ rng.standard_normal((k, c))
+            elif kind == 2:
+                M[i] = 0.0
+            elif kind == 3:
+                M[i] *= 1e-12
+        return M
+
+    def test_matches_rank_report(self):
+        rng = np.random.default_rng(41)
+        for r, c in [(1, 1), (3, 4), (4, 3), (5, 5), (7, 1), (1, 6), (10, 14)]:
+            M = self.random_stack(rng, 24, r, c)
+            for rtol in (RTOL, 1e-3):
+                ranks = stacked_ranks(M, rtol)
+                assert ranks.shape == (24,)
+                assert ranks.tolist() == [rank_report(Mi, rtol).rank for Mi in M]
+
+    def test_near_tolerance(self):
+        # singular values just above and just below rank_report's tolerance
+        tol = RTOL * 3
+        M = np.array([np.diag([1.0, f * tol, 0.5]) for f in (0.99, 1.0, 1.01, 2.0)])
+        assert stacked_ranks(M).tolist() == [rank_report(Mi).rank for Mi in M] == [2, 2, 3, 3]
+
+    def test_empty(self):
+        assert stacked_ranks(np.zeros((0, 3, 4))).shape == (0,)
+        assert stacked_ranks(np.zeros((2, 0, 3))).tolist() == [0, 0] == [
+            rank_report(np.zeros((0, 3))).rank] * 2
+        assert stacked_ranks(np.zeros((2, 3, 0))).tolist() == [0, 0]
+
+    def test_rejects(self):
+        M = np.ones((3, 2, 2))
+        M[1, 0, 1] = np.inf
+        with pytest.raises(ValidationError, match="matrix contains non-finite entries"):
+            stacked_ranks(M)
+        with pytest.raises(ValidationError, match="3-D"):
+            stacked_ranks(np.ones((2, 2)))
+        with pytest.raises(ValidationError, match="rtol"):
+            stacked_ranks(np.ones((1, 2, 2)), rtol=0.0)
 
 
 class TestKernelBasis:

@@ -112,14 +112,15 @@ class RootSet:
         }
 
 
-def _tolerance(s, shape, rtol):
-    """The rank tolerance for singular values ``s`` of ``shape`` matrices.
+def _tolerance(smax, shape, rtol):
+    """The rank tolerance for ``shape`` matrices with largest singular value ``smax``.
 
-    ``s`` is non-increasing along its last axis; the result has one
-    tolerance per matrix (a 0-d array for a single matrix).
+    ``smax`` is a float for one matrix or an array with one entry per
+    matrix; the result has the same form. Where ``smax`` is 0 the first
+    term is 0 and the second is ``rtol``; elsewhere the second term adds
+    an exact 0.
     """
-    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    return np.where(smax > 0, rtol * max(shape) * smax, rtol)
+    return rtol * max(shape) * smax + rtol * (smax == 0)
 
 
 def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
@@ -146,7 +147,7 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
         s = np.zeros(0)
     else:
         s = np.linalg.svd(A, compute_uv=False)
-    tol = max(_tolerance(s, A.shape, rtol), atol)
+    tol = max(_tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol), atol)
     rank = int(np.sum(s > tol))
     return RankReport(
         rank=rank,
@@ -177,7 +178,8 @@ def stacked_ranks(M, rtol=RTOL):
     if rtol <= 0:
         raise ValidationError("rtol must be positive")
     s = np.linalg.svd(S, compute_uv=False)
-    return np.sum(s > _tolerance(s, S.shape[1:], rtol)[:, None], axis=1)
+    smax = s[:, 0] if s.shape[1] else np.zeros(len(s))
+    return np.sum(s > _tolerance(smax, S.shape[1:], rtol)[:, None], axis=1)
 
 
 def kernel_basis(M, rtol=RTOL):
@@ -193,7 +195,7 @@ def kernel_basis(M, rtol=RTOL):
     if rows == 0 or cols == 0:
         return np.eye(cols)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > _tolerance(s, A.shape, rtol)))
+    rank = int(np.sum(s > _tolerance(float(s[0]), A.shape, rtol)))
     return vh[rank:].T.copy()
 
 

@@ -1,6 +1,6 @@
 """Replay every benchmark operation of one seed and print one digest line per operation.
 
-    python3 tools/replay_digest.py --seed N --out DIR [--tiny]
+    python3 tools/replay_digest.py --seed N --out DIR
 
 Builds the pools of the three workloads of ``bench/workloads.py`` from the
 seed (inputs under ``DIR/<workload>/in``) and runs each item's operation
@@ -79,7 +79,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="work directory, emptied first")
-    parser.add_argument("--tiny", action="store_true", help="the benchmark's smoke-test pools")
     args = parser.parse_args(argv)
 
     sys.dont_write_bytecode = True  # leave bench/ as it is
@@ -90,7 +89,7 @@ def main(argv=None):
     out = Path(args.out).resolve()
     shutil.rmtree(out, ignore_errors=True)
     for name, cls in workloads.WORKLOADS.items():
-        workload = cls(tiny=args.tiny)
+        workload = cls()
         indir = out / name / "in"
         os.makedirs(indir)
         items = workload.build(np.random.default_rng(args.seed), str(indir))

@@ -58,7 +58,12 @@ class LemmaCheck:
 
 @dataclass(frozen=True)
 class UniversalityVerdict:
-    """Outcome of the universality test for one input signal."""
+    """Outcome of the universality test for one input signal.
+
+    ``pe_report`` lists the excitation orders 1..n+L only (fewer when
+    the signal is too short); its ``max_order`` is capped at n+L. Use
+    ``signals.pe_order`` without ``up_to`` for the full listing.
+    """
 
     universal: bool
     pe_order_needed: int
@@ -155,7 +160,8 @@ def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
                          cluster_radius=CLUSTER_RADIUS, seed=SEED) -> UniversalityVerdict:
     """Decide universality of an input for the L-restricted behavior.
 
-    Universal iff persistently exciting of order n+L. A negative verdict
+    Universal iff persistently exciting of order n+L, so only orders
+    1..n+L are factored (see ``UniversalityVerdict``). A negative verdict
     always carries a verified counterexample certificate: a controllable
     pair and an initial state whose data is rank-deficient.
     """
@@ -164,7 +170,7 @@ def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
     if n < 1:
         raise ValidationError("n must be positive")
-    report = pe_order(u, rtol)
+    report = pe_order(u, rtol, up_to=n + L)
     if report.max_order >= n + L:
         return UniversalityVerdict(
             universal=True, pe_order_needed=n + L, pe_report=report, counterexample=None

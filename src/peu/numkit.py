@@ -9,8 +9,9 @@ tolerance rule serves ``rank_report``, ``stacked_ranks`` and
 ``kernel_basis``: a singular value counts as nonzero when it exceeds
 ``rtol * max(rows, cols) * sigma_max`` (plain ``rtol`` when sigma_max is
 0), which ``rank_report`` may raise to an absolute floor ``atol``.
-Complex arithmetic stays inside this module: callers receive real
-matrices and ``RootSet`` values.
+Every SVD goes through ``_svd``, which retries on the transpose where
+LAPACK does not converge. Complex arithmetic stays inside this module:
+callers receive real matrices and ``RootSet`` values.
 """
 
 from __future__ import annotations
@@ -123,6 +124,26 @@ def _tolerance(smax, shape, rtol):
     return rtol * max(shape) * smax + rtol * (smax == 0)
 
 
+def _svd(A, **kwargs):
+    """``np.linalg.svd`` of a matrix or stack, retried on the transpose.
+
+    LAPACK's ``gesdd`` can fail to converge on one orientation of a
+    matrix and converge on the other. On ``LinAlgError`` the SVD of the
+    transpose is taken and turned back into the SVD of ``A``: the
+    singular values are shared and the roles of the two singular
+    vector sets swap. Where the first call converges its result is
+    returned untouched.
+    """
+    try:
+        return np.linalg.svd(A, **kwargs)
+    except np.linalg.LinAlgError:
+        out = np.linalg.svd(np.swapaxes(A, -1, -2), **kwargs)
+        if not kwargs.get("compute_uv", True):
+            return out
+        u, s, vh = out
+        return np.swapaxes(vh, -1, -2), s, np.swapaxes(u, -1, -2)
+
+
 def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
     """Singular-value rank decision for a dense matrix.
 
@@ -146,7 +167,7 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
     if rows == 0 or cols == 0:
         s = np.zeros(0)
     else:
-        s = np.linalg.svd(A, compute_uv=False)
+        s = _svd(A, compute_uv=False)
     tol = max(_tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol), atol)
     rank = int(np.sum(s > tol))
     return RankReport(
@@ -177,7 +198,7 @@ def stacked_ranks(M, rtol=RTOL):
         raise ValidationError("matrix contains non-finite entries")
     if rtol <= 0:
         raise ValidationError("rtol must be positive")
-    s = np.linalg.svd(S, compute_uv=False)
+    s = _svd(S, compute_uv=False)
     smax = s[:, 0] if s.shape[1] else np.zeros(len(s))
     return np.sum(s > _tolerance(smax, S.shape[1:], rtol)[:, None], axis=1)
 
@@ -194,7 +215,7 @@ def kernel_basis(M, rtol=RTOL):
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return np.eye(cols)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    _, s, vh = _svd(A, full_matrices=True)
     rank = int(np.sum(s > _tolerance(float(s[0]), A.shape, rtol)))
     return vh[rank:].T.copy()
 
@@ -214,7 +235,7 @@ def smallest_right_singular_vector(M):
         v = np.zeros(cols)
         v[-1] = 1.0
         return v
-    _, _, vh = np.linalg.svd(A, full_matrices=True)
+    _, _, vh = _svd(A, full_matrices=True)
     return vh[-1].copy()
 
 

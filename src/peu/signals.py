@@ -66,7 +66,9 @@ class PEReport:
     Beyond that cap the Hankel matrix has more rows than columns, so all
     higher orders are deficient without a factorization. ``max_order``
     is the last order before the first row-rank failure (0 when order 1
-    already fails).
+    already fails). A report scanned with ``pe_order(..., up_to=K)``
+    lists orders 1..min(cap, K) only; its ``max_order`` is then the last
+    full-rank order among those scanned, min(true max_order, K).
     """
 
     max_order: int
@@ -102,16 +104,26 @@ def hankel(v: Signal, k: int) -> np.ndarray:
     return H
 
 
-def pe_order(v: Signal, rtol=RTOL) -> PEReport:
+def pe_order(v: Signal, rtol=RTOL, up_to=None) -> PEReport:
     """Largest persistency-of-excitation order of the signal, with evidence.
 
     Scans k = 1..floor((T+1)/(dim+1)); orders beyond the cap cannot have
     full row rank by column count. A failure at some order caps
     ``max_order`` there even if a later factorization were to disagree
     (an order-k exciting signal is exciting at every lower order).
+
+    ``up_to`` (a positive int) stops the scan after order ``up_to`` as
+    well; ``None`` scans to the cap. The listed orders are a prefix of
+    the full listing, entry for entry, and ``max_order`` is the last
+    full-rank order among those scanned: min(true max_order, up_to).
+    So ``max_order >= up_to`` holds exactly when the full scan's does.
     """
     v = as_signal(v)
     k_cap = (v.length + 1) // (v.dim + 1)
+    if up_to is not None:
+        if up_to < 1:
+            raise ValidationError(f"up_to={up_to} must be a positive order")
+        k_cap = min(k_cap, up_to)
     reports = []
     max_order = 0
     failed = False

@@ -185,6 +185,22 @@ class TestUniversal:
         write_zero_signal(sig, T=8)
         assert main(["universal", str(sig), "--n", "2", "--L", "1"]) == EXIT_FALSE
 
+    def test_lists_orders_up_to_n_plus_L(self, tmp_path):
+        sig = tmp_path / "g.csv"
+        write_signal_csv(str(sig),
+                         Signal(np.random.default_rng(5).standard_normal((40, 2))),
+                         RunConfig())
+        verdict, listing = tmp_path / "verdict.json", tmp_path / "pe.json"
+        assert main(["universal", str(sig), "--n", "3", "--L", "2",
+                     "--out", str(verdict)]) == EXIT_OK
+        report = json.loads(verdict.read_text())["pe_report"]
+        assert [row["order"] for row in report["per_order"]] == [1, 2, 3, 4, 5]
+        assert report["max_order"] == 5
+        assert main(["pe", str(sig), "--out", str(listing)]) == EXIT_OK
+        full = json.loads(listing.read_text())
+        assert len(full["per_order"]) == (40 + 1) // (2 + 1)
+        assert full["per_order"][:5] == report["per_order"]
+
 
 class TestCounterexample:
     def test_reference_overrides(self, tmp_path, ex2_values):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peu import (
     NotATrajectoryError,
@@ -12,6 +13,7 @@ from peu import (
     construct_certificate,
     construct_certificate_l0,
     is_pe,
+    pe_order,
     simulate,
     universality_verdict,
 )
@@ -187,3 +189,42 @@ class TestUniversalityVerdict:
             universality_verdict(Signal(np.ones(3)), 0, 1)
         with pytest.raises(ValidationError):
             universality_verdict(Signal(np.ones(3)), 1, 4)
+
+
+def _scan_case(kind, n, L, m, seed):
+    """An input of the given kind; "short" ones have fewer than n+L scannable orders."""
+    rng = np.random.default_rng(seed)
+    T_min = (n + L) * (m + 1) - 1  # shortest length that can excite order n+L
+    if kind == "short":
+        return rng.standard_normal((int(rng.integers(L, T_min)), m))
+    T = T_min + int(rng.integers(0, 40))
+    if kind == "gauss":
+        return rng.standard_normal((T, m))
+    if kind == "zero":
+        return np.zeros((T, m))
+    # q shared tones bound every Hankel rank by 2q, below the (n+L)m rows
+    # of H_{n+L}(u) except at n = L = m = 1
+    q = int(rng.integers(1, max(1, ((n + L) * m - 1) // 2) + 1))
+    t = np.arange(T)[:, None]
+    freqs = rng.uniform(0.2, 3.0, q)
+    amps = rng.standard_normal((q, m))
+    phases = rng.uniform(0.0, 2 * np.pi, (q, m))
+    return sum(amps[j] * np.sin(freqs[j] * t + phases[j]) for j in range(q))
+
+
+class TestPrefixScan:
+    """The verdict's n+L-order scan agrees with the full PE-order scan."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["gauss", "multisine", "zero", "short"]),
+           n=st.integers(1, 4), L=st.integers(1, 3), m=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_prefix_of_full_scan(self, kind, n, L, m, seed):
+        u = Signal(_scan_case(kind, n, L, m, seed))
+        full = pe_order(u)
+        verdict = universality_verdict(u, n, L)
+        assert verdict.universal == (full.max_order >= n + L)
+        cap = (u.length + 1) // (m + 1)
+        assert ([(k, r.to_dict()) for k, r in verdict.pe_report.per_order]
+                == [(k, r.to_dict()) for k, r in full.per_order[:min(n + L, cap)]])
+        assert verdict.pe_report.max_order == min(full.max_order, n + L)

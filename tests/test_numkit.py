@@ -155,6 +155,74 @@ class TestKernelBasis:
         assert v[-1] == 1.0 and np.linalg.norm(v) == 1.0
 
 
+
+class TestSvdRetry:
+    """Where LAPACK's SVD does not converge, numkit retries on the transpose."""
+
+    @staticmethod
+    def fail_on(monkeypatch, shape):
+        """Make ``np.linalg.svd`` raise on matrices (or stacks) of trailing shape ``shape``.
+
+        Returns the list of trailing shapes it was called with.
+        """
+        real_svd = np.linalg.svd
+        calls = []
+
+        def flaky(a, *args, **kwargs):
+            calls.append(np.shape(a)[-2:])
+            if np.shape(a)[-2:] == shape:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        return calls
+
+    def test_rank_report(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        for M in (rng.standard_normal((7, 4)),
+                  rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4))):
+            expected = rank_report(M)
+            calls = self.fail_on(monkeypatch, M.shape)
+            got = rank_report(M)
+            monkeypatch.undo()
+            assert calls == [(7, 4), (4, 7)]
+            assert got.rank == expected.rank and got.shape == expected.shape
+            np.testing.assert_allclose(got.singular_values, expected.singular_values,
+                                       rtol=1e-12, atol=1e-12 * expected.singular_values[0])
+
+    def test_kernel_basis(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        M = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 8))
+        rep = rank_report(M)
+        calls = self.fail_on(monkeypatch, M.shape)
+        K = kernel_basis(M)
+        assert calls == [(5, 8), (8, 5)]
+        assert K.shape == (8, 8 - rep.rank) == (8, 5)
+        np.testing.assert_allclose(K.T @ K, np.eye(5), atol=1e-12)
+        assert np.linalg.norm(M @ K) <= rep.tolerance_used * np.sqrt(8)
+
+    def test_smallest_right_singular_vector(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        for shape in ((9, 6), (4, 7)):
+            M = rng.standard_normal(shape)
+            s = np.linalg.svd(M, compute_uv=False)
+            sigma_min = s[-1] if shape[0] >= shape[1] else 0.0
+            calls = self.fail_on(monkeypatch, shape)
+            v = smallest_right_singular_vector(M)
+            monkeypatch.undo()
+            assert calls == [shape, shape[::-1]]
+            assert v.shape == (shape[1],)
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(M @ v) - sigma_min) <= 1e-12 * s[0]
+
+    def test_stacked_ranks(self, monkeypatch):
+        M = TestStackedRanks.random_stack(np.random.default_rng(59), 24, 5, 3)
+        expected = stacked_ranks(M)
+        calls = self.fail_on(monkeypatch, (5, 3))
+        assert stacked_ranks(M).tolist() == expected.tolist()
+        assert calls == [(5, 3), (3, 5)]
+
+
 class TestPolynomialRoots:
     def test_difference_of_squares(self):
         rs = polynomial_roots([-1.0, 0.0, 1.0])

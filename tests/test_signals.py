@@ -92,6 +92,10 @@ class TestPEOrder:
         rep = pe_order(Signal(np.ones((7, 1))))
         assert [k for k, _ in rep.per_order] == [1, 2, 3, 4]  # (7+1)//2
 
+    def test_up_to_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            pe_order(Signal(np.ones((7, 1))), up_to=0)
+
     def test_gaussian_signal_hits_expected_order(self):
         rng = np.random.default_rng(31)
         for dim in (1, 2, 3):

@@ -39,10 +39,9 @@ from .numkit import (
     lambda_set,
     rank_report,
     kernel_basis,
-    smallest_right_singular_vector,
     stacked_ranks,
 )
-from .signals import Signal, as_signal, hankel, is_pe, stack
+from .signals import Signal, as_signal, hankel, stack
 
 __all__ = [
     "CounterexampleCertificate",
@@ -274,19 +273,15 @@ def _annihilation_residual(v, w, stacked):
     return float(np.abs(np.concatenate([v, w]) @ stacked).max())
 
 
-def _project_to_kernel(eta_flat, H, rtol):
-    """Snap a user-supplied eta onto ker(H^T), keeping its norm.
+def _project_to_kernel(eta_flat, K):
+    """Snap a user-supplied eta onto span(K), keeping its norm.
 
+    K is the orthonormal left-kernel basis of the input Hankel matrix.
     Supplied kernel vectors are often quoted at limited precision; the
     construction needs the annihilation to hold exactly, so the nearest
     true kernel vector is used. Losing more than half the norm means
     the vector was never close to the kernel.
     """
-    if H.shape[1] == 0:
-        return eta_flat
-    K = kernel_basis(H.T, rtol)
-    if K.shape[1] == 0:
-        raise ValidationError("input Hankel matrix has no left kernel; nothing to project onto")
     proj = K @ (K.T @ eta_flat)
     norm_in = float(np.linalg.norm(eta_flat))
     norm_pr = float(np.linalg.norm(proj))
@@ -297,45 +292,45 @@ def _project_to_kernel(eta_flat, H, rtol):
     return proj * (norm_in / norm_pr)
 
 
-def _kernel_vector(u, k, rtol, cluster_radius, eta_override=None):
+def _kernel_vector(u, k, rtol, eta_override=None):
     """Left-kernel vector eta of H_k(u), its annihilation residual and root set.
 
-    Refuses an input that is persistently exciting of order k. eta is
-    the best-annihilating unit vector, or ``eta_override`` snapped onto
-    the kernel; with T = k-1 the Hankel matrix has no columns and the
+    One SVD of H_k(u) decides both questions: the left-kernel basis K
+    is empty exactly when u is persistently exciting of order k, which
+    is refused. Otherwise eta is K's last column, the best-annihilating
+    unit vector, or ``eta_override`` snapped onto the span of K. With
+    T = k-1 the Hankel matrix has no columns, K is the identity and the
     default is the last unit vector. Returns (eta as a (k, m) array,
     max |eta^T H|, root set of eta's vector polynomial).
     """
     T, m = u.length, u.dim
-    if k <= T:
-        exciting, _ = is_pe(u, k, rtol)
-        if exciting:
-            raise PersistentlyExcitingError(
-                f"input is persistently exciting of order {k}; no counterexample exists"
-            )
     H = hankel(u, k) if k <= T else np.zeros((k * m, 0))
+    K = kernel_basis(H.T, rtol)
+    if K.shape[1] == 0:
+        raise PersistentlyExcitingError(
+            f"input is persistently exciting of order {k}; no counterexample exists"
+        )
     if eta_override is None:
-        eta_flat = smallest_right_singular_vector(H.T)
+        eta_flat = K[:, -1].copy()  # contiguous: a strided column rounds eta @ H differently
     else:
         eta_flat = as_vector(eta_override, "eta")
         if eta_flat.size != k * m:
             raise ValidationError(f"eta must have {k * m} entries, got {eta_flat.size}")
         if float(np.linalg.norm(eta_flat)) == 0.0:
             raise ValidationError("eta must be nonzero")
-        eta_flat = _project_to_kernel(eta_flat, H, rtol)
+        eta_flat = _project_to_kernel(eta_flat, K)
     eta_residual = float(np.abs(eta_flat @ H).max()) if H.shape[1] else 0.0
     eta = eta_flat.reshape(k, m)
-    return eta, eta_residual, lambda_set(eta, rtol, cluster_radius)
+    return eta, eta_residual, lambda_set(eta, rtol)
 
 
-def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_override,
-             zeta_override):
+def _certify(u, n, L, rtol, tol_cert, seed, eta_override, A_override, zeta_override):
     """Shared engine behind the L >= 1 and L = 0 constructions."""
     k = n + L
     if u.length < k - 1:
-        return _certify_short_data(u, n, L, rtol, tol_cert, cluster_radius, seed)
+        return _certify_short_data(u, n, L, rtol, tol_cert, seed)
 
-    eta, eta_residual, lam = _kernel_vector(u, k, rtol, cluster_radius, eta_override)
+    eta, eta_residual, lam = _kernel_vector(u, k, rtol, eta_override)
     if eta_override is None and eta_residual > tol_cert * float(np.linalg.norm(eta)):
         raise ConstructionError(
             f"kernel vector annihilates the input Hankel matrix only to {eta_residual:.3e}"
@@ -355,7 +350,7 @@ def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_over
             raise ValidationError(f"A must be {n}x{n}, got {A.shape}")
         candidates = [("override", A)]
     else:
-        exclusion = max(0.1, 2.0 * cluster_radius)
+        exclusion = max(0.1, 2.0 * lam.cluster_radius)
         candidates = []
         for lam0 in _lambda0_candidates():
             if lam.distance(lam0) > exclusion:
@@ -365,8 +360,7 @@ def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_over
 
     failures = []
     for tag, A in candidates:
-        cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert,
-                          cluster_radius, seed)
+        cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, seed)
         if not isinstance(cert, str):
             return cert
         failures.append(f"A[{tag}]: {cert}")
@@ -375,7 +369,7 @@ def _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta_override, A_over
     )
 
 
-def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, cluster_radius, seed):
+def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, seed):
     """One construction attempt; a verified certificate or a failure reason string."""
     m, T = u.dim, u.length
     if any(lam.contains(z) for z in np.linalg.eigvals(A)):
@@ -386,17 +380,6 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, cluster
         return "(A, zeta) is not controllable"
 
     E_desc, B, x0, states = _recursion_and_state(A, zeta, eta, u.samples, n, m, L)
-
-    recursion_residual = 0.0
-    for idx in range(len(E_desc) - 1):  # E_desc[idx] = E_i with i = n+L-1-idx
-        i = n + L - 1 - idx
-        lhs = A @ E_desc[idx] + np.outer(zeta, eta[i])
-        recursion_residual = max(
-            recursion_residual,
-            float(np.abs(lhs - E_desc[idx + 1]).max() / (1.0 + np.abs(lhs).max())),
-        )
-    if recursion_residual > 1e-12:
-        return f"recursion identity residual {recursion_residual:.3e}"
 
     cf = _closed_form_states(A, zeta, eta, E_desc, u.samples, n, m, L)
     scale_x = 1.0 + float(np.abs(states).max())
@@ -453,15 +436,14 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, cluster
         residuals={
             "annihilation": residual,
             "eta_annihilation": eta_residual,
-            "recursion": recursion_residual,
             "closed_form": closed_form_residual,
             "xi_orthogonality": xi_orth,
         },
-        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=cluster_radius,
+        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=lam.cluster_radius,
     )
 
 
-def _certify_short_data(u, n, L, rtol, tol_cert, cluster_radius, seed):
+def _certify_short_data(u, n, L, rtol, tol_cert, seed):
     """T < n+L-1: too few columns for the state Hankel matrix to have rank n.
 
     A stock controllable pair suffices: nilpotent Jordan A, B carrying
@@ -501,12 +483,11 @@ def _certify_short_data(u, n, L, rtol, tol_cert, cluster_radius, seed):
         states=states,
         stacked_rank=srep,
         residuals={"annihilation": residual},
-        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=cluster_radius,
+        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=CLUSTER_RADIUS,
     )
 
 
-def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
-                          cluster_radius=CLUSTER_RADIUS, seed=SEED,
+def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, seed=SEED,
                           eta=None, A=None, zeta=None) -> CounterexampleCertificate:
     """Build and verify a counterexample for a non-exciting input.
 
@@ -529,11 +510,10 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
         raise ValidationError("n must be positive")
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
-    return _certify(u, n, L, rtol, tol_cert, cluster_radius, seed, eta, A, zeta)
+    return _certify(u, n, L, rtol, tol_cert, seed, eta, A, zeta)
 
 
-def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT,
-                             cluster_radius=CLUSTER_RADIUS, seed=SEED,
+def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, seed=SEED,
                              eta=None, A=None, zeta=None) -> CounterexampleCertificate:
     """Depth-0 variant: make the bare state Hankel matrix rank-deficient.
 
@@ -548,7 +528,7 @@ def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT,
     if u.length < 2:
         raise ValidationError("need at least two samples (u(0)..u(T) with T >= 1)")
     prefix = u.window(0, u.length - 1)
-    return _certify(prefix, n, 0, rtol, tol_cert, cluster_radius, seed, eta, A, zeta)
+    return _certify(prefix, n, 0, rtol, tol_cert, seed, eta, A, zeta)
 
 
 def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
@@ -607,8 +587,8 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     )
 
 
-def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
-                        cluster_radius=CLUSTER_RADIUS) -> CounterexampleCertificate:
+def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
+                        tol_cert=TOL_CERT) -> CounterexampleCertificate:
     """Counterexample with a user-chosen pair (A, B), single-input case.
 
     For m = 1 almost any pair works: it suffices that spec(A) avoids
@@ -638,7 +618,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
     k = n + L
     if u.length < k - 1:
         raise ValidationError(f"need T >= n+L-1 = {k - 1} samples, got {u.length}")
-    eta, eta_residual, lam = _kernel_vector(u, k, rtol, cluster_radius)
+    eta, eta_residual, lam = _kernel_vector(u, k, rtol)
 
     if any(lam.contains(z) for z in np.linalg.eigvals(A)):
         raise EigenvalueConflictError(
@@ -654,8 +634,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
         raise NearSingularError("sum_i eta_i A^i is near-singular; certificate would be unreliable")
     zeta = np.linalg.solve(S, b)
 
-    cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert,
-                      cluster_radius, SEED)
+    cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, SEED)
     if isinstance(cert, str):
         raise ConstructionError(f"single-input construction failed: {cert}")
     if float(np.abs(cert.B - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):
@@ -663,8 +642,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL, tol_cert=TOL_CERT,
     return cert
 
 
-def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL, tol_cert=TOL_CERT,
-                        cluster_radius=CLUSTER_RADIUS) -> CloudResult:
+def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     """Dense family of scalar-state systems generating rank-deficient data.
 
     For n = 1 the annihilator condition is vacuous, so every admissible
@@ -686,7 +664,7 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL, tol_cert=TOL_CERT,
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
     try:
-        eta, _, lam = _kernel_vector(u, k, rtol, cluster_radius)
+        eta, _, lam = _kernel_vector(u, k, rtol)
     except PersistentlyExcitingError as exc:
         raise PersistentlyExcitingError(
             f"input is persistently exciting of order {k}; the family is empty"

@@ -11,9 +11,12 @@ Formats:
 - System JSON: ``{"n","m","p","A","B","C","D"}`` with row-major arrays.
 - Certificate JSON: all certificate fields plus tolerances, seed and
   verification residuals.
+- Every JSON report (``pe``, ``universal``, ``check`` and
+  ``certificate.json``) carries a ``config`` object with exactly the
+  keys ``rtol``, ``tol_cert`` and ``seed``.
 
-Exit codes: 0 success/true, 2 input error, 3 checked false,
-4 numerical construction failure.
+Exit codes: 0 success/true, 2 input error (including unreadable or
+malformed files), 3 checked false, 4 numerical construction failure.
 """
 
 from __future__ import annotations
@@ -49,19 +52,13 @@ class RunConfig:
     rtol: float = RTOL
     tol_cert: float = TOL_CERT
     seed: int = SEED
-    output_format: str = "json"
 
     def __post_init__(self):
         if self.rtol <= 0 or self.tol_cert <= 0:
             raise ValidationError("tolerances must be positive")
 
     def to_dict(self):
-        return {
-            "rtol": self.rtol,
-            "tol_cert": self.tol_cert,
-            "seed": self.seed,
-            "format": self.output_format,
-        }
+        return {"rtol": self.rtol, "tol_cert": self.tol_cert, "seed": self.seed}
 
     def comment_line(self) -> str:
         return (f"# peu-config: rtol={self.rtol!r} tol_cert={self.tol_cert!r} "
@@ -166,13 +163,16 @@ def read_system_json(path) -> StateSpaceSystem:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     try:
-        sys_ = StateSpaceSystem(np.asarray(obj["A"], dtype=float),
-                                np.asarray(obj["B"], dtype=float),
-                                np.asarray(obj["C"], dtype=float),
-                                np.asarray(obj["D"], dtype=float))
+        mats = [np.asarray(obj[key], dtype=float) for key in "ABCD"]
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: matrices must be rectangular arrays of numbers: "
+                              f"{exc}") from exc
+    sys_ = StateSpaceSystem(*mats)
     for field in ("n", "m", "p"):
         if field in obj and obj[field] != getattr(sys_, field):
             raise ValidationError(f"{path}: declared {field}={obj[field]} does not match matrices")
@@ -195,7 +195,7 @@ def _load_array_json(path, name):
     with open(path) as fh:
         try:
             return np.asarray(json.load(fh), dtype=float)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ValidationError(f"{path}: invalid {name} file: {exc}") from exc
 
 
@@ -214,8 +214,7 @@ def _config_from_args(args) -> RunConfig:
                 raise ValidationError(f"PEU_SEED must be an integer: {env!r}") from exc
         else:
             seed = SEED
-    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert, seed=seed,
-                     output_format=args.format)
+    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert, seed=seed)
 
 
 def cmd_pe(args) -> int:
@@ -319,6 +318,10 @@ def cmd_cloud(args) -> int:
         a_lo, a_hi, z_lo, z_hi = (float(c) for c in args.ranges.split(","))
     except ValueError as exc:
         raise ValidationError(f"--ranges must be amin,amax,zmin,zmax: {exc}") from exc
+    if not np.isfinite([a_hi - a_lo, z_hi - z_lo]).all():
+        raise ValidationError(f"--ranges must be finite with max - min finite: {args.ranges}")
+    if z_lo == z_hi == 0.0:
+        raise ValidationError("--ranges zmin = zmax = 0 leaves no nonzero zeta to draw")
     if args.samples < 0:
         raise ValidationError("--samples must be non-negative")
     rng = np.random.default_rng(cfg.seed)
@@ -328,8 +331,7 @@ def cmd_cloud(args) -> int:
     while np.any(z == 0.0):
         z[z == 0.0] = rng.uniform(z_lo, z_hi, size=int(np.sum(z == 0.0)))
     pairs[:, 1] = z
-    result = adversary.sample_system_cloud(u, args.L, pairs, rtol=cfg.rtol,
-                                           tol_cert=cfg.tol_cert)
+    result = adversary.sample_system_cloud(u, args.L, pairs, rtol=cfg.rtol)
     buf = io.StringIO()
     buf.write(cfg.comment_line() + f" skipped={result.n_skipped}\n")
     buf.write("a," + ",".join(f"b{j + 1}" for j in range(u.dim)) + ",x0,verified\n")
@@ -474,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="certificate residual budget (default %(default)g)")
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (falls back to PEU_SEED, then 0)")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format tag echoed into artifacts")
 
     parser = argparse.ArgumentParser(
         prog="peu",
@@ -550,7 +550,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except ConstructionError as exc:

@@ -1,8 +1,10 @@
 """Package-wide numerical tolerance defaults.
 
-Every rank decision uses one documented policy (see numkit.rank_report);
-these constants are the default knobs and are configurable at every call
-site that consumes them.
+Every rank decision uses one documented policy (see numkit.rank_report).
+RTOL, TOL_CERT and SEED are the defaults of the keyword arguments (and
+CLI options) of the same name. CLUSTER_RADIUS is set only on
+``numkit.polynomial_roots`` and ``numkit.lambda_set``; the constructions
+take the radius from the ``RootSet`` that ``lambda_set`` returns.
 """
 
 RTOL = 1e-9            # relative rank tolerance: tol = RTOL * max(rows, cols) * sigma_max

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .defaults import CLUSTER_RADIUS, RTOL, SEED, TOL_CERT
+from .defaults import RTOL, SEED, TOL_CERT
 from .errors import NotATrajectoryError, ValidationError
 from .lti import StateSpaceSystem, behavior_basis, markov_toeplitz, observability_matrix, simulate
 from .numkit import RankReport, rank_report
@@ -157,7 +157,7 @@ def check_state_rank(u: Signal, x: Signal, n, rtol=RTOL) -> RankReport:
 
 
 def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
-                         cluster_radius=CLUSTER_RADIUS, seed=SEED) -> UniversalityVerdict:
+                         seed=SEED) -> UniversalityVerdict:
     """Decide universality of an input for the L-restricted behavior.
 
     Universal iff persistently exciting of order n+L, so only orders
@@ -177,9 +177,7 @@ def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT,
         )
     from .adversary import construct_certificate  # deferred: adversary imports this module
 
-    cert = construct_certificate(
-        u, n, L, rtol=rtol, tol_cert=tol_cert, cluster_radius=cluster_radius, seed=seed
-    )
+    cert = construct_certificate(u, n, L, rtol=rtol, tol_cert=tol_cert, seed=seed)
     return UniversalityVerdict(
         universal=False, pe_order_needed=n + L, pe_report=report, counterexample=cert
     )

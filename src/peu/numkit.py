@@ -9,9 +9,12 @@ tolerance rule serves ``rank_report``, ``stacked_ranks`` and
 ``kernel_basis``: a singular value counts as nonzero when it exceeds
 ``rtol * max(rows, cols) * sigma_max`` (plain ``rtol`` when sigma_max is
 0), which ``rank_report`` may raise to an absolute floor ``atol``.
-Every SVD goes through ``_svd``, which retries on the transpose where
-LAPACK does not converge. Complex arithmetic stays inside this module:
-callers receive real matrices and ``RootSet`` values.
+``kernel_basis`` keeps the SVD's order, so its last column is the
+best-annihilating unit vector: one call both decides whether a kernel
+exists and supplies that vector. Every SVD goes through ``_svd``, which
+retries on the transpose where LAPACK does not converge. Complex
+arithmetic stays inside this module: callers receive real matrices and
+``RootSet`` values.
 """
 
 from __future__ import annotations
@@ -207,7 +210,10 @@ def kernel_basis(M, rtol=RTOL):
     """Orthonormal basis for the right kernel of ``M``.
 
     Returns a (cols, cols - rank) matrix whose columns K satisfy
-    ``M @ K ~ 0`` at the rank tolerance and ``K.T @ K = I``.
+    ``M @ K ~ 0`` at the rank tolerance and ``K.T @ K = I``. The columns
+    are right singular vectors in order of decreasing singular value, so
+    the last one minimizes ``||M v||`` over unit v; a 0-row ``M`` gives
+    the identity.
     """
     A = as_matrix(M)
     if rtol <= 0:
@@ -218,25 +224,6 @@ def kernel_basis(M, rtol=RTOL):
     _, s, vh = _svd(A, full_matrices=True)
     rank = int(np.sum(s > _tolerance(float(s[0]), A.shape, rtol)))
     return vh[rank:].T.copy()
-
-
-def smallest_right_singular_vector(M):
-    """Right singular vector for the smallest singular value of ``M``.
-
-    The best-annihilating unit vector: minimizes ||M v|| over ||v|| = 1.
-    For a 0-row matrix every vector annihilates; the last canonical
-    basis vector is returned for determinism.
-    """
-    A = as_matrix(M)
-    rows, cols = A.shape
-    if cols == 0:
-        raise ValidationError("matrix has no columns")
-    if rows == 0:
-        v = np.zeros(cols)
-        v[-1] = 1.0
-        return v
-    _, _, vh = _svd(A, full_matrices=True)
-    return vh[-1].copy()
 
 
 def _cluster(points, radius):

@@ -15,7 +15,7 @@ from peu import (
     single_input_family,
 )
 from peu.defaults import CLUSTER_RADIUS, RTOL
-from peu.numkit import lambda_set, rank_report, smallest_right_singular_vector
+from peu.numkit import lambda_set, rank_report
 from peu.signals import hankel
 
 from conftest import non_exciting_input, xi_at_reading
@@ -115,7 +115,12 @@ class TestConstructCertificate:
             u, _ = non_exciting_input(rng, n, m, L, T)
             cert = construct_certificate(u, n, L)
             certificate_is_sound(cert, u)
-            assert cert.residuals["recursion"] <= 1e-12
+            # E_{i-1} = A E_i + zeta eta_i^T, with E_{n+L-1} = 0, bit for bit
+            assert not cert.E[0].any()
+            for i in range(n + L):
+                np.testing.assert_array_equal(
+                    cert.E[n + L - i],
+                    cert.A @ cert.E[n + L - 1 - i] + np.outer(cert.zeta, cert.eta[i]))
             assert cert.residuals["closed_form"] <= 1e-8
             # xi kills E_i for i in [L, n+L-1]
             for i in range(L, n + L):
@@ -276,7 +281,7 @@ def _cloud_point_by_point(u, L, pairs):
     blocks; the blocked version must reproduce it bit for bit.
     """
     m, T, k = u.dim, u.length, 1 + L
-    eta = smallest_right_singular_vector(hankel(u, k).T).reshape(k, m)
+    eta = np.linalg.svd(hankel(u, k).T)[2][-1].reshape(k, m)
     lam = lambda_set(eta, RTOL, CLUSTER_RADIUS)
     Hu = hankel(u, L)
     points, n_skipped = [], 0

@@ -65,6 +65,23 @@ class TestFormats:
         with pytest.raises(Exception):
             read_system_json(str(bad))
 
+    @pytest.mark.parametrize("text, message", [
+        ('[[0.5]]', "expected a JSON object, got list"),
+        ('{"A": [[0.5, 1], [2]], "B": [[1]], "C": [[1]], "D": [[0]]}',
+         "matrices must be rectangular arrays of numbers"),
+        ('{"A": [["x"]], "B": [[1]], "C": [[1]], "D": [[0]]}',
+         "matrices must be rectangular arrays of numbers"),
+    ], ids=["top-level-list", "ragged-rows", "non-numeric-entry"])
+    def test_malformed_system_json_is_input_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "sys.json"
+        bad.write_text(text)
+        assert main(["simulate", str(bad), EX1_INPUT]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+    def test_directory_as_signal_is_input_error(self, tmp_path, capsys):
+        assert main(["pe", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_signal(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("t,u1\n0,abc\n")
@@ -262,6 +279,14 @@ class TestCounterexample:
                      "--override-A", str(A_file), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONSTRUCTION
 
+    def test_override_file_holding_an_object_is_input_error(self, tmp_path, capsys):
+        eta = tmp_path / "eta.json"
+        eta.write_text('{"eta": [1, 0]}')
+        code = main(["counterexample", EX1_INPUT, "--n", "2", "--L", "1",
+                     "--override-eta", str(eta), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {eta}: invalid eta file")
+
     def test_certificate_json_round_trip(self, tmp_path):
         bundle = tmp_path / "out"
         main(["counterexample", EX1_INPUT, "--n", "2", "--L", "1",
@@ -308,6 +333,22 @@ class TestCloud:
         assert capsys.readouterr().err.endswith("error: matrix contains non-finite entries\n")
         assert not out.exists()
 
+    def test_zero_zeta_range_rejected(self, tmp_path, capsys):
+        # every zeta draw would be 0, so the redraw loop could never end
+        out = tmp_path / "points.csv"
+        assert main(["cloud", EX3_INPUT, "--L", "2", "--samples", "10",
+                     "--ranges=-1,1,0,0", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --ranges")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ranges", ["nan,1,-1,1", "-1,1,inf,inf", "-1,1,-1e308,1e308"])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, ranges):
+        out = tmp_path / "points.csv"
+        assert main(["cloud", EX3_INPUT, "--L", "2", "--samples", "10",
+                     f"--ranges={ranges}", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --ranges")
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("PEU_SEED", "12")
@@ -345,3 +386,35 @@ class TestCertificateDeterminism:
                   "--seed", "5", "--out", str(d)])
         for name in ("certificate.json", "system.json", "trajectory.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+class TestArtifactShape:
+    """The keys every JSON report carries: no echoed options, no constant residuals."""
+
+    def test_config_keys(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        reports = {"pe": tmp_path / "pe.json", "universal": tmp_path / "universal.json",
+                   "check": tmp_path / "check.json"}
+        main(["pe", EX1_INPUT, "--out", str(reports["pe"])])
+        main(["universal", EX1_INPUT, "--n", "2", "--L", "1",
+              "--out", str(reports["universal"])])
+        main(["counterexample", EX1_INPUT, "--n", "2", "--L", "1", "--out", str(bundle)])
+        main(["check", str(bundle / "system.json"), str(bundle / "trajectory.csv"),
+              "--L", "1", "--out", str(reports["check"])])
+        for path in (*reports.values(), bundle / "certificate.json"):
+            assert set(json.loads(path.read_text())["config"]) == {"rtol", "tol_cert", "seed"}
+
+    def test_residual_keys(self, tmp_path):
+        bundle, verdict = tmp_path / "bundle", tmp_path / "universal.json"
+        main(["counterexample", EX1_INPUT, "--n", "2", "--L", "1", "--out", str(bundle)])
+        main(["universal", EX1_INPUT, "--n", "2", "--L", "1", "--out", str(verdict)])
+        expected = {"annihilation", "eta_annihilation", "closed_form", "xi_orthogonality"}
+        for cert in (json.loads((bundle / "certificate.json").read_text()),
+                     json.loads(verdict.read_text())["certificate"]):
+            assert set(cert["residuals"]) == expected
+
+    def test_format_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pe", EX1_INPUT, "--format", "json"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--format" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from peu import (
     polynomial_roots,
     rank_report,
 )
-from peu.numkit import smallest_right_singular_vector, stacked_ranks
+from peu.numkit import stacked_ranks
 from peu.signals import Signal, hankel
 
 from oracles import exact_rank, expand_from_roots
@@ -150,11 +150,6 @@ class TestKernelBasis:
                 np.testing.assert_allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-10)
                 assert np.linalg.norm(M @ K) <= rep.tolerance_used * np.sqrt(c)
 
-    def test_smallest_singular_vector_empty_rows(self):
-        v = smallest_right_singular_vector(np.zeros((0, 5)))
-        assert v[-1] == 1.0 and np.linalg.norm(v) == 1.0
-
-
 
 class TestSvdRetry:
     """Where LAPACK's SVD does not converge, numkit retries on the transpose."""
@@ -200,20 +195,6 @@ class TestSvdRetry:
         assert K.shape == (8, 8 - rep.rank) == (8, 5)
         np.testing.assert_allclose(K.T @ K, np.eye(5), atol=1e-12)
         assert np.linalg.norm(M @ K) <= rep.tolerance_used * np.sqrt(8)
-
-    def test_smallest_right_singular_vector(self, monkeypatch):
-        rng = np.random.default_rng(53)
-        for shape in ((9, 6), (4, 7)):
-            M = rng.standard_normal(shape)
-            s = np.linalg.svd(M, compute_uv=False)
-            sigma_min = s[-1] if shape[0] >= shape[1] else 0.0
-            calls = self.fail_on(monkeypatch, shape)
-            v = smallest_right_singular_vector(M)
-            monkeypatch.undo()
-            assert calls == [shape, shape[::-1]]
-            assert v.shape == (shape[1],)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-            assert abs(np.linalg.norm(M @ v) - sigma_min) <= 1e-12 * s[0]
 
     def test_stacked_ranks(self, monkeypatch):
         M = TestStackedRanks.random_stack(np.random.default_rng(59), 24, 5, 3)

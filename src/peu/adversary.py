@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .defaults import CLUSTER_RADIUS, RTOL, SEED, TOL_CERT
+from .defaults import CLUSTER_RADIUS, RTOL, TOL_CERT
 from .errors import (
     ConstructionError,
     EigenvalueConflictError,
@@ -88,7 +88,6 @@ class CounterexampleCertificate:
     states: np.ndarray             # x(0)..x(T-L) actually certified
     stacked_rank: RankReport
     residuals: dict
-    seed: int
     rtol: float
     tol_cert: float
     cluster_radius: float
@@ -116,7 +115,6 @@ class CounterexampleCertificate:
             "states": self.states.tolist(),
             "stacked_rank": self.stacked_rank.to_dict(),
             "residuals": dict(self.residuals),
-            "seed": self.seed,
             "rtol": self.rtol,
             "tol_cert": self.tol_cert,
             "cluster_radius": self.cluster_radius,
@@ -324,11 +322,11 @@ def _kernel_vector(u, k, rtol, eta_override=None):
     return eta, eta_residual, lambda_set(eta, rtol)
 
 
-def _certify(u, n, L, rtol, tol_cert, seed, eta_override, A_override, zeta_override):
+def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
     """Shared engine behind the L >= 1 and L = 0 constructions."""
     k = n + L
     if u.length < k - 1:
-        return _certify_short_data(u, n, L, rtol, tol_cert, seed)
+        return _certify_short_data(u, n, L, rtol, tol_cert)
 
     eta, eta_residual, lam = _kernel_vector(u, k, rtol, eta_override)
     if eta_override is None and eta_residual > tol_cert * float(np.linalg.norm(eta)):
@@ -360,7 +358,7 @@ def _certify(u, n, L, rtol, tol_cert, seed, eta_override, A_override, zeta_overr
 
     failures = []
     for tag, A in candidates:
-        cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, seed)
+        cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert)
         if not isinstance(cert, str):
             return cert
         failures.append(f"A[{tag}]: {cert}")
@@ -369,7 +367,7 @@ def _certify(u, n, L, rtol, tol_cert, seed, eta_override, A_override, zeta_overr
     )
 
 
-def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, seed):
+def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
     """One construction attempt; a verified certificate or a failure reason string."""
     m, T = u.dim, u.length
     if any(lam.contains(z) for z in np.linalg.eigvals(A)):
@@ -439,30 +437,25 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, seed):
             "closed_form": closed_form_residual,
             "xi_orthogonality": xi_orth,
         },
-        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=lam.cluster_radius,
+        rtol=rtol, tol_cert=tol_cert, cluster_radius=lam.cluster_radius,
     )
 
 
-def _certify_short_data(u, n, L, rtol, tol_cert, seed):
+def _certify_short_data(u, n, L, rtol, tol_cert):
     """T < n+L-1: too few columns for the state Hankel matrix to have rank n.
 
-    A stock controllable pair suffices: nilpotent Jordan A, B carrying
-    the last basis vector in its first column (already controllable on
-    its own) and seeded Gaussian fill for the remaining columns.
+    A stock controllable pair suffices: nilpotent Jordan A and B carrying
+    the last basis vector e_n in its first column and zeros elsewhere.
+    The Kalman matrix of (A, e_n) is a permutation matrix, so the pair is
+    controllable for every n and m; the check below only confirms it.
     """
     m, T = u.dim, u.length
-    rng = np.random.default_rng(seed)
     A = _jordan_block(0.0, n)
-    zeta = np.zeros(n)
-    zeta[-1] = 1.0
-    for _ in range(16):
-        B = rng.standard_normal((n, m))
-        B[:, 0] = zeta
-        ok, _ = is_controllable(A, B, rtol)
-        if ok:
-            break
-    else:
-        raise ConstructionError("failed to draw a controllable stock pair")
+    B = np.zeros((n, m))
+    B[-1, 0] = 1.0
+    zeta = B[:, 0].copy()
+    if not is_controllable(A, B, rtol)[0]:
+        raise ConstructionError("stock pair (J(0), e_n) is not controllable")
     x0 = np.zeros(n)
     states = simulate(StateSpaceSystem.from_state_pair(A, B), x0, u).x.samples[: T - L + 1]
 
@@ -483,12 +476,12 @@ def _certify_short_data(u, n, L, rtol, tol_cert, seed):
         states=states,
         stacked_rank=srep,
         residuals={"annihilation": residual},
-        seed=seed, rtol=rtol, tol_cert=tol_cert, cluster_radius=CLUSTER_RADIUS,
+        rtol=rtol, tol_cert=tol_cert, cluster_radius=CLUSTER_RADIUS,
     )
 
 
-def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, seed=SEED,
-                          eta=None, A=None, zeta=None) -> CounterexampleCertificate:
+def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=None,
+                          A=None, zeta=None) -> CounterexampleCertificate:
     """Build and verify a counterexample for a non-exciting input.
 
     Requires that u is not persistently exciting of order n+L. By
@@ -510,11 +503,11 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, seed=SE
         raise ValidationError("n must be positive")
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
-    return _certify(u, n, L, rtol, tol_cert, seed, eta, A, zeta)
+    return _certify(u, n, L, rtol, tol_cert, eta, A, zeta)
 
 
-def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, seed=SEED,
-                             eta=None, A=None, zeta=None) -> CounterexampleCertificate:
+def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, eta=None,
+                             A=None, zeta=None) -> CounterexampleCertificate:
     """Depth-0 variant: make the bare state Hankel matrix rank-deficient.
 
     ``u`` holds T+1 samples u(0)..u(T); the excitation condition is on
@@ -528,7 +521,7 @@ def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, seed=SE
     if u.length < 2:
         raise ValidationError("need at least two samples (u(0)..u(T) with T >= 1)")
     prefix = u.window(0, u.length - 1)
-    return _certify(prefix, n, 0, rtol, tol_cert, seed, eta, A, zeta)
+    return _certify(prefix, n, 0, rtol, tol_cert, eta, A, zeta)
 
 
 def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
@@ -634,7 +627,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         raise NearSingularError("sum_i eta_i A^i is near-singular; certificate would be unreliable")
     zeta = np.linalg.solve(S, b)
 
-    cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert, SEED)
+    cert = _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert)
     if isinstance(cert, str):
         raise ConstructionError(f"single-input construction failed: {cert}")
     if float(np.abs(cert.B - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):

@@ -9,11 +9,12 @@ Formats:
 - Trajectory CSV: columns ``t,u*,x*,y*`` with T+1 rows; the final row
   holds only the post-input state (u/y cells empty).
 - System JSON: ``{"n","m","p","A","B","C","D"}`` with row-major arrays.
-- Certificate JSON: all certificate fields plus tolerances, seed and
-  verification residuals.
+- Certificate JSON: all certificate fields plus tolerances and
+  verification residuals (the construction is deterministic: no seed).
 - Every JSON report (``pe``, ``universal``, ``check`` and
   ``certificate.json``) carries a ``config`` object with exactly the
-  keys ``rtol``, ``tol_cert`` and ``seed``.
+  keys ``rtol``, ``tol_cert`` and ``seed``. The seed drives only the
+  random draws of ``cloud`` and ``repro ex1``.
 
 Exit codes: 0 success/true, 2 input error (including unreadable or
 malformed files), 3 checked false, 4 numerical construction failure.
@@ -36,8 +37,7 @@ from . import adversary, flemma
 from .defaults import RTOL, SEED, TOL_CERT
 from .errors import ConstructionError, ValidationError
 from .lti import StateSpaceSystem, simulate
-from .numkit import rank_report
-from .signals import Signal, hankel, is_pe, pe_order
+from .signals import Signal, is_pe, pe_order
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,8 +54,10 @@ class RunConfig:
     seed: int = SEED
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.tol_cert <= 0:
-            raise ValidationError("tolerances must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.tol_cert < np.inf):
+            raise ValidationError("tolerances must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self):
         return {"rtol": self.rtol, "tol_cert": self.tol_cert, "seed": self.seed}
@@ -204,17 +206,14 @@ def _load_array_json(path, name):
 
 
 def _config_from_args(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("PEU_SEED")
-        if env:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"PEU_SEED must be an integer: {env!r}") from exc
-        else:
-            seed = SEED
-    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert, seed=seed)
+    seed, env = args.seed, os.environ.get("PEU_SEED")
+    if seed is None and env:
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ValidationError(f"PEU_SEED must be an integer: {env!r}") from exc
+    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert,
+                     seed=SEED if seed is None else seed)
 
 
 def cmd_pe(args) -> int:
@@ -262,9 +261,7 @@ def cmd_check(args) -> int:
 def cmd_universal(args) -> int:
     cfg = _config_from_args(args)
     u = read_signal_csv(args.signal)
-    verdict = flemma.universality_verdict(
-        u, args.n, args.L, rtol=cfg.rtol, tol_cert=cfg.tol_cert, seed=cfg.seed
-    )
+    verdict = flemma.universality_verdict(u, args.n, args.L, rtol=cfg.rtol, tol_cert=cfg.tol_cert)
     payload = {
         "universal": verdict.universal,
         "pe_order_needed": verdict.pe_order_needed,
@@ -280,15 +277,10 @@ def cmd_universal(args) -> int:
 def cmd_counterexample(args) -> int:
     cfg = _config_from_args(args)
     u = read_signal_csv(args.signal)
-    overrides = {}
-    if args.override_eta:
-        overrides["eta"] = _load_array_json(args.override_eta, "eta")
-    if args.override_A:
-        overrides["A"] = _load_array_json(args.override_A, "A")
-    if args.override_zeta:
-        overrides["zeta"] = _load_array_json(args.override_zeta, "zeta")
+    files = {"eta": args.override_eta, "A": args.override_A, "zeta": args.override_zeta}
+    overrides = {key: _load_array_json(path, key) for key, path in files.items() if path}
 
-    kwargs = dict(rtol=cfg.rtol, tol_cert=cfg.tol_cert, seed=cfg.seed, **overrides)
+    kwargs = dict(rtol=cfg.rtol, tol_cert=cfg.tol_cert, **overrides)
     if args.L0:
         cert = adversary.construct_certificate_l0(u, args.n, **kwargs)
         u_used = u.window(0, u.length - 1)
@@ -350,53 +342,35 @@ def _fixture_path(name) -> str:
     return str(resources.files("peu").joinpath("fixtures", name))
 
 
-def _repro_ex1(cfg: RunConfig):
+def _repro_ex1(cfg: RunConfig, check):
     sys_ = read_system_json(_fixture_path("ex1_system.json"))
     u = read_signal_csv(_fixture_path("ex1_input.csv"))
-    results = []
-    report = pe_order(u, cfg.rtol)
-    results.append(("excitation order of (1,0,0) is 1", report.max_order == 1,
-                    f"max_order={report.max_order}"))
+    order = pe_order(u, cfg.rtol).max_order
+    check("excitation order of (1,0,0) is 1", order == 1, f"max_order={order}")
     rng = np.random.default_rng(cfg.seed)
-    all_ok = True
-    for _ in range(20):
-        x0 = rng.standard_normal(2)
-        traj = simulate(sys_, x0, u)
-        stacked = np.vstack([hankel(u, 1), hankel(traj.y, 1)])
-        rep = rank_report(stacked, cfg.rtol)
-        check = flemma.check_behavior_equality(sys_, u, traj.y, 1, cfg.rtol)
-        all_ok &= rep.rank == 2 and check.behavior_equal
-    results.append(("20 random x(0): stacked rank 2 and behavior equality", all_ok, ""))
-    verdict = flemma.universality_verdict(u, 2, 1, rtol=cfg.rtol,
-                                          tol_cert=cfg.tol_cert, seed=cfg.seed)
-    ok = (not verdict.universal and verdict.counterexample is not None
-          and verdict.counterexample.rank_deficit_confirmed)
-    results.append(("input is nonetheless not universal (certificate attached)", ok, ""))
-    return results
+    outputs = [simulate(sys_, rng.standard_normal(2), u).y for _ in range(20)]
+    lemma = [flemma.check_behavior_equality(sys_, u, y, 1, cfg.rtol) for y in outputs]
+    check("20 random x(0): stacked rank 2 and behavior equality",
+          all(c.data_span_dim == 2 and c.behavior_equal for c in lemma))
+    cert = flemma.universality_verdict(u, 2, 1, rtol=cfg.rtol,
+                                       tol_cert=cfg.tol_cert).counterexample
+    check("input is nonetheless not universal (certificate attached)",
+          cert is not None and cert.rank_deficit_confirmed)
 
 
-def _repro_ex2(cfg: RunConfig, tol=1e-3):
+def _repro_ex2(cfg: RunConfig, check, tol=1e-3):
     u = read_signal_csv(_fixture_path("ex2_input.csv"))
     with open(_fixture_path("ex2_values.json")) as fh:
         vals = json.load(fh)
-    with open(_fixture_path("ex2_states.csv")) as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    X_ref = np.asarray([[float(c) for c in r[1:]] for r in rows[1:]])
-
-    results = []
-    ok, _ = is_pe(u, 4, cfg.rtol)
-    results.append(("input not persistently exciting of order 4", not ok, ""))
+    check("input not persistently exciting of order 4", not is_pe(u, 4, cfg.rtol)[0])
 
     cert = adversary.construct_certificate(
-        u, vals["n"], vals["L"], rtol=cfg.rtol, tol_cert=cfg.tol_cert, seed=cfg.seed,
-        eta=np.asarray(vals["eta"], dtype=float),
-        A=np.asarray(vals["A"], dtype=float),
-        zeta=np.asarray(vals["zeta"], dtype=float),
-    )
+        u, vals["n"], vals["L"], rtol=cfg.rtol, tol_cert=cfg.tol_cert,
+        eta=vals["eta"], A=vals["A"], zeta=vals["zeta"])
 
     def against(label, computed, expected):
         dev = float(np.abs(np.asarray(computed) - np.asarray(expected)).max())
-        results.append((f"{label} within {tol:g}", dev <= tol, f"max dev {dev:.2e}"))
+        check(f"{label} within {tol:g}", dev <= tol, f"max dev {dev:.2e}")
 
     k = vals["n"] + vals["L"]
     for i, key in ((2, "E2"), (1, "E1"), (0, "E0"), (-1, "Em1")):
@@ -404,64 +378,49 @@ def _repro_ex2(cfg: RunConfig, tol=1e-3):
     against("B", cert.B, vals["Em1"])
     against("x(0)", cert.x0, vals["x0"])
     against("xi", cert.xi, vals["xi"])
-    against("state trajectory", cert.states, X_ref)
-
-    rep = cert.stacked_rank
-    results.append(("stacked input/state matrix rank 4 < 5", rep.rank == 4,
-                    f"rank={rep.rank}"))
-    return results
+    against("state trajectory", cert.states,
+            read_trajectory_csv(_fixture_path("ex2_states.csv"))["x"].samples)
+    rank = cert.stacked_rank.rank
+    check("stacked input/state matrix rank 4 < 5", rank == 4, f"rank={rank}")
 
 
-def _repro_ex3(cfg: RunConfig):
+def _repro_ex3(cfg: RunConfig, check):
     u = read_signal_csv(_fixture_path("ex3_input.csv"))
     with open(_fixture_path("ex3_reddot.json")) as fh:
         red = json.load(fh)
-    results = []
-    ok, _ = is_pe(u, 3, cfg.rtol)
-    results.append(("input not persistently exciting of order 3", not ok, ""))
+    check("input not persistently exciting of order 3", not is_pe(u, 3, cfg.rtol)[0])
 
-    L = red["L"]
-    pairs = np.array([[red["a"], 1.0]])
-    cloud = adversary.sample_system_cloud(u, L, pairs, rtol=cfg.rtol)
-    pt = cloud.points[0]
-    d = pt.b  # family direction at zeta = 1
-    zeta_star = float(np.asarray(red["b"]) @ d / (d @ d))
-    b_star = zeta_star * d
-    x0_star = zeta_star * pt.x0
-    dev_b = float(np.abs(b_star - np.asarray(red["b"])).max())
+    L, a, b = red["L"], red["a"], np.asarray(red["b"])
+    pt = adversary.sample_system_cloud(u, L, [[a, 1.0]], rtol=cfg.rtol).points[0]
+    zeta_star = float(b @ pt.b / (pt.b @ pt.b))  # pt.b is the family direction at zeta = 1
+    b_star, x0_star = zeta_star * pt.b, zeta_star * pt.x0
+    dev_b = float(np.abs(b_star - b).max())
     dev_x0 = abs(x0_star - red["x0"])
-    results.append(("red-dot system lies on the constructive family (1.5e-4)",
-                    dev_b <= 1.5e-4 and dev_x0 <= 1.5e-4,
-                    f"dev b {dev_b:.2e}, dev x0 {dev_x0:.2e}"))
+    check("red-dot system lies on the constructive family (1.5e-4)",
+          dev_b <= 1.5e-4 and dev_x0 <= 1.5e-4, f"dev b {dev_b:.2e}, dev x0 {dev_x0:.2e}")
 
-    x = [x0_star]
-    for t in range(u.length - L):
-        x.append(red["a"] * x[-1] + float(b_star @ u.samples[t]))
-    stacked = np.vstack([hankel(u, L), np.asarray(x)[None, :]])
-    rep = rank_report(stacked, cfg.rtol)
-    results.append(("family member yields stacked rank 4 at rtol", rep.rank == 4,
-                    f"rank={rep.rank}"))
+    def state_rank(b_, x0, rtol):
+        x = simulate(StateSpaceSystem.from_state_pair([[a]], b_), [x0], u).x
+        return flemma.check_rank_condition(u, x.window(0, u.length - L + 1), L, 1, rtol).rank
 
-    xp = [red["x0"]]
-    for t in range(u.length - L):
-        xp.append(red["a"] * xp[-1] + float(np.asarray(red["b"]) @ u.samples[t]))
-    stacked_p = np.vstack([hankel(u, L), np.asarray(xp)[None, :]])
-    rep_p = rank_report(stacked_p, 1e-4)  # printed values carry 4 decimals
-    results.append(("printed triple yields rank 4 at print-resolution tolerance",
-                    rep_p.rank == 4, f"rank={rep_p.rank}"))
-    return results
+    rank = state_rank(b_star, x0_star, cfg.rtol)
+    check("family member yields stacked rank 4 at rtol", rank == 4, f"rank={rank}")
+    rank = state_rank(b, red["x0"], 1e-4)  # printed values carry 4 decimals
+    check("printed triple yields rank 4 at print-resolution tolerance", rank == 4,
+          f"rank={rank}")
 
 
 def cmd_repro(args) -> int:
     cfg = _config_from_args(args)
-    runner = {"ex1": _repro_ex1, "ex2": _repro_ex2, "ex3": _repro_ex3}[args.example]
-    results = runner(cfg)
-    all_ok = True
-    for label, ok, detail in results:
-        all_ok &= ok
+    failed = []
+
+    def check(label, ok, detail=""):
+        failed.extend([] if ok else [label])
         suffix = f"  ({detail})" if detail else ""
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {args.example}: {label}{suffix}\n")
-    return EXIT_OK if all_ok else EXIT_FALSE
+
+    {"ex1": _repro_ex1, "ex2": _repro_ex2, "ex3": _repro_ex3}[args.example](cfg, check)
+    return EXIT_FALSE if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-cert", dest="tol_cert", type=float, default=TOL_CERT,
                         help="certificate residual budget (default %(default)g)")
     common.add_argument("--seed", type=int, default=None,
-                        help="master seed (falls back to PEU_SEED, then 0)")
+                        help="seed of the random draws of cloud and repro "
+                             "(falls back to PEU_SEED, then 0)")
 
     parser = argparse.ArgumentParser(
         prog="peu",

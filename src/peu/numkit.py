@@ -127,6 +127,12 @@ def _tolerance(smax, shape, rtol):
     return rtol * max(shape) * smax + rtol * (smax == 0)
 
 
+def _check_rtol(rtol):
+    """Refuse an ``rtol`` that is not a positive finite number (NaN included)."""
+    if not 0 < rtol < np.inf:
+        raise ValidationError(f"rtol must be positive and finite, got {rtol!r}")
+
+
 def _svd(A, **kwargs):
     """``np.linalg.svd`` of a matrix or stack, retried on the transpose.
 
@@ -152,7 +158,7 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
 
     Args:
         M: matrix (anything ``as_matrix`` accepts, including 0-row/0-col).
-        rtol: relative tolerance; must be positive.
+        rtol: relative tolerance; must be positive and finite.
         atol: optional absolute floor on the tolerance, for callers whose
             matrix can be pure rounding noise relative to an external
             data scale (for example a state row driven by a much larger
@@ -162,8 +168,7 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
         RankReport with non-increasing singular values.
     """
     A = as_matrix(M)
-    if rtol <= 0:
-        raise ValidationError("rtol must be positive")
+    _check_rtol(rtol)
     if atol < 0:
         raise ValidationError("atol must be non-negative")
     rows, cols = A.shape
@@ -188,7 +193,7 @@ def stacked_ranks(M, rtol=RTOL):
 
     Args:
         M: (N, rows, cols) array of N matrices with finite entries.
-        rtol: relative tolerance; must be positive.
+        rtol: relative tolerance; must be positive and finite.
 
     Returns:
         (N,) integer array; entry i equals ``rank_report(M[i], rtol).rank``.
@@ -199,8 +204,7 @@ def stacked_ranks(M, rtol=RTOL):
         raise ValidationError(f"stack must be 3-D, got ndim={S.ndim}")
     if S.size and not np.all(np.isfinite(S)):
         raise ValidationError("matrix contains non-finite entries")
-    if rtol <= 0:
-        raise ValidationError("rtol must be positive")
+    _check_rtol(rtol)
     s = _svd(S, compute_uv=False)
     smax = s[:, 0] if s.shape[1] else np.zeros(len(s))
     return np.sum(s > _tolerance(smax, S.shape[1:], rtol)[:, None], axis=1)
@@ -216,8 +220,7 @@ def kernel_basis(M, rtol=RTOL):
     the identity.
     """
     A = as_matrix(M)
-    if rtol <= 0:
-        raise ValidationError("rtol must be positive")
+    _check_rtol(rtol)
     rows, cols = A.shape
     if rows == 0 or cols == 0:
         return np.eye(cols)

@@ -13,6 +13,7 @@ from peu import (
     is_controllable,
     sample_system_cloud,
     single_input_family,
+    universality_verdict,
 )
 from peu.defaults import CLUSTER_RADIUS, RTOL
 from peu.numkit import lambda_set, rank_report
@@ -162,6 +163,32 @@ class TestConstructCertificateL0:
         full = Signal(np.vstack([u.samples, rng.standard_normal((1, 2))]))
         cert = construct_certificate_l0(full, 2)
         assert cert.states.shape == (8, 2)  # x(0)..x(T) with T = 7
+
+
+class TestShortDataMultiInput:
+    """The short-data branch at m >= 2: a fixed stock pair, no seed anywhere."""
+
+    @pytest.mark.parametrize("build", [
+        lambda u: construct_certificate(u, 3, 1),   # T=2 < n+L-1 = 3
+        lambda u: construct_certificate_l0(Signal(np.vstack([u.samples, [[1.0, -1.0]]])), 4),
+    ], ids=["L1", "L0"])
+    def test_stock_pair(self, build):
+        u = Signal(np.random.default_rng(19).standard_normal((2, 2)))
+        cert = build(u)
+        assert cert.short_data_case and cert.m == 2
+        certificate_is_sound(cert, u)
+        assert not cert.B[:, 1:].any()
+        assert build(u).to_dict() == cert.to_dict()
+        assert "seed" not in cert.to_dict()
+
+    def test_seed_keyword_is_gone(self):
+        u = Signal(np.ones((2, 2)))
+        with pytest.raises(TypeError):
+            construct_certificate(u, 3, 1, seed=0)
+        with pytest.raises(TypeError):
+            construct_certificate_l0(u, 3, seed=0)
+        with pytest.raises(TypeError):
+            universality_verdict(u, 3, 1, seed=0)
 
 
 class TestExtendToOutput:

@@ -378,6 +378,71 @@ class TestRepro:
         assert "FAIL" not in capsys.readouterr().out
 
 
+REPRO_LINES = {
+    "ex1": [
+        "PASS  ex1: excitation order of (1,0,0) is 1",
+        "PASS  ex1: 20 random x(0): stacked rank 2 and behavior equality",
+        "PASS  ex1: input is nonetheless not universal (certificate attached)",
+    ],
+    "ex2": [
+        "PASS  ex2: input not persistently exciting of order 4",
+        "PASS  ex2: recursion matrix E_2 within 0.001",
+        "PASS  ex2: recursion matrix E_1 within 0.001",
+        "PASS  ex2: recursion matrix E_0 within 0.001",
+        "PASS  ex2: recursion matrix E_-1 within 0.001",
+        "PASS  ex2: B within 0.001",
+        "PASS  ex2: x(0) within 0.001",
+        "FAIL  ex2: xi within 0.001",
+        "PASS  ex2: state trajectory within 0.001",
+        "PASS  ex2: stacked input/state matrix rank 4 < 5",
+    ],
+    "ex3": [
+        "PASS  ex3: input not persistently exciting of order 3",
+        "PASS  ex3: red-dot system lies on the constructive family (1.5e-4)",
+        "PASS  ex3: family member yields stacked rank 4 at rtol",
+        "PASS  ex3: printed triple yields rank 4 at print-resolution tolerance",
+    ],
+}
+
+
+@pytest.mark.parametrize("example", sorted(REPRO_LINES))
+def test_repro_report_lines(capsys, example):
+    """Every check of a reference example, in order, up to its two-space detail."""
+    main(["repro", example])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  (")[0] for line in lines] == REPRO_LINES[example]
+
+
+class TestRunConfigInput:
+    """Tolerances must be positive and finite, the seed non-negative: exit 2, no file."""
+
+    @pytest.mark.parametrize("option", ["--rtol", "--tol-cert"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tolerance(self, tmp_path, capsys, option, value):
+        out = tmp_path / "pe.json"
+        assert main(["pe", EX1_INPUT, f"{option}={value}", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: tolerances must be positive and finite\n"
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "points.csv"
+        assert main(["cloud", EX3_INPUT, "--L", "2", "--samples", "3", "--seed=-1",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PEU_SEED", "-1")
+        out = tmp_path / "points.csv"
+        assert main(["cloud", EX3_INPUT, "--L", "2", "--samples", "3",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert main(["repro", "ex1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -1\n" * 2
+        assert not out.exists()
+
+
 class TestCertificateDeterminism:
     def test_counterexample_bytes(self, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]

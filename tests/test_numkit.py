@@ -151,6 +151,19 @@ class TestKernelBasis:
                 assert np.linalg.norm(M @ K) <= rep.tolerance_used * np.sqrt(c)
 
 
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("decide", [
+    rank_report,
+    lambda M, rtol: stacked_ranks(M[None], rtol),
+    kernel_basis,
+], ids=["rank_report", "stacked_ranks", "kernel_basis"])
+def test_rtol_must_be_positive_and_finite(decide, rtol):
+    # NaN fails every comparison, so a bare ``rtol <= 0`` test would let it
+    # through and every singular value would count as zero
+    with pytest.raises(ValidationError, match="rtol must be positive and finite"):
+        decide(np.eye(3), rtol)
+
+
 class TestSvdRetry:
     """Where LAPACK's SVD does not converge, numkit retries on the transpose."""
 

@@ -9,7 +9,8 @@ prints every intermediate object for the packaged reference input.
 
 import numpy as np
 
-from peu import Signal, construct_certificate, is_controllable, universality_verdict
+from peu import (Signal, construct_certificate, is_controllable, lambda_set,
+                 universality_verdict)
 from peu.cli import _fixture_path, read_signal_csv
 from peu.signals import hankel
 
@@ -23,7 +24,10 @@ print(f"universal for the {L}-window behavior of {n}-state systems? "
 
 cert = verdict.counterexample
 print(f"\nkernel vector eta (rows eta_0..eta_{n + L - 1}):\n{np.round(cert.eta, 4)}")
-print(f"forbidden root set: {[complex(np.round(z, 4)) for z in cert.lam.roots]}")
+lam0 = cert.A[0, 0]
+print(f"forbidden root set: eigenvalue {lam0} has margin "
+      f"||eta(z)|| / (||eta|| ||(1, z, ..., z^{n + L - 1})||) = "
+      f"{lambda_set(cert.eta, cert.rtol).margin(lam0):.4f} > rtol = {cert.rtol:g}")
 print(f"\nchosen dynamics A (eigenvalue scan avoids the roots):\n{cert.A}")
 print(f"cyclic direction zeta: {cert.zeta}")
 

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``numkit``: rank reports, kernels, polynomial root sets
+- ``numkit``: rank reports, kernels, common roots of a kernel polynomial
 - ``signals``: finite signals, block-Hankel matrices, excitation orders
 - ``lti``: state-space systems, simulation, controllability, behaviors
 - ``flemma``: fundamental-lemma checks and the universality verdict
@@ -21,7 +21,7 @@ from .adversary import (
     sample_system_cloud,
     single_input_family,
 )
-from .defaults import CLUSTER_RADIUS, RTOL, SEED, TOL_CERT
+from .defaults import RTOL, SEED, TOL_CERT
 from .errors import (
     ConstructionError,
     EigenvalueConflictError,
@@ -29,7 +29,6 @@ from .errors import (
     NotATrajectoryError,
     PersistentlyExcitingError,
     ValidationError,
-    ZeroPolynomialError,
 )
 from .flemma import (
     LemmaCheck,
@@ -49,11 +48,10 @@ from .lti import (
     simulate,
 )
 from .numkit import (
+    LambdaSet,
     RankReport,
-    RootSet,
     kernel_basis,
     lambda_set,
-    polynomial_roots,
     rank_report,
 )
 from .signals import PEReport, Signal, hankel, is_pe, pe_order, stack
@@ -61,17 +59,17 @@ from .signals import PEReport, Signal, hankel, is_pe, pe_order, stack
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLUSTER_RADIUS", "RTOL", "SEED", "TOL_CERT",
+    "RTOL", "SEED", "TOL_CERT",
     "BehaviorBasis", "CloudPoint", "CloudResult", "ConstructionError",
-    "CounterexampleCertificate", "EigenvalueConflictError", "LemmaCheck",
-    "NearSingularError", "NotATrajectoryError", "OutputCounterexample",
-    "PEReport", "PersistentlyExcitingError", "RankReport", "RootSet",
-    "Signal", "StateSpaceSystem", "Trajectory", "UniversalityVerdict",
-    "ValidationError", "ZeroPolynomialError",
+    "CounterexampleCertificate", "EigenvalueConflictError", "LambdaSet",
+    "LemmaCheck", "NearSingularError", "NotATrajectoryError",
+    "OutputCounterexample", "PEReport", "PersistentlyExcitingError",
+    "RankReport", "Signal", "StateSpaceSystem", "Trajectory",
+    "UniversalityVerdict", "ValidationError",
     "behavior_basis", "check_behavior_equality", "check_rank_condition",
     "check_state_rank", "construct_certificate", "construct_certificate_l0",
     "controllability_matrix", "extend_to_output", "hankel", "is_controllable",
-    "is_pe", "kernel_basis", "lambda_set", "pe_order", "polynomial_roots",
-    "rank_report", "sample_system_cloud", "simulate", "single_input_family",
-    "stack", "universality_verdict",
+    "is_pe", "kernel_basis", "lambda_set", "pe_order", "rank_report",
+    "sample_system_cloud", "simulate", "single_input_family", "stack",
+    "universality_verdict",
 ]

@@ -5,23 +5,25 @@ module builds a controllable pair (A, B) and an initial state whose
 input-state data is provably rank-deficient, certified by explicit
 annihilator vectors (v, w). The construction runs off a left-kernel
 vector eta of the depth-(n+L) input Hankel matrix: A is chosen cyclic
-with spectrum avoiding the root set of eta's vector polynomial, a
-backward matrix recursion produces B and the initial state, and a
-Krylov solve produces the annihilators. The state-level certificate
-extends to an output-level one (first output row = w) showing the data
-span misses part of the behavior, and specializes to a depth-0 variant
-(state Hankel rank deficiency) and to a dense single-input family where
-the user picks (A, B).
+with spectrum avoiding the common roots of eta's vector polynomial
+eta(z) = sum_i z^i eta_i (decided by evaluating eta, see
+``numkit.lambda_set``), a backward matrix recursion produces B and the
+initial state, and a Krylov solve produces the annihilators. The
+state-level certificate extends to an output-level one (first output
+row = w) showing the data span misses part of the behavior, and
+specializes to a depth-0 variant (state Hankel rank deficiency) and to
+a dense single-input family where the user picks (A, B).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .defaults import CLUSTER_RADIUS, RTOL, TOL_CERT
+from .defaults import RTOL, TOL_CERT
 from .errors import (
     ConstructionError,
     EigenvalueConflictError,
@@ -33,7 +35,6 @@ from .flemma import LemmaCheck, check_behavior_equality
 from .lti import StateSpaceSystem, is_controllable, simulate
 from .numkit import (
     RankReport,
-    RootSet,
     as_matrix,
     as_vector,
     lambda_set,
@@ -61,11 +62,12 @@ class CounterexampleCertificate:
     """Full output of one counterexample construction, with its evidence.
 
     ``E`` holds the recursion matrices in descending index order
-    E_{n+L-1}, ..., E_{-1} (so ``E[-1]`` is B). ``eta``, ``lam`` and
-    ``E`` are None on the short-data branch (T < n+L-1), where a stock
+    E_{n+L-1}, ..., E_{-1} (so ``E[-1]`` is B). ``eta`` and ``E`` are
+    None on the short-data branch (T < n+L-1), where a stock
     controllable pair suffices because the state Hankel matrix cannot
-    have full row rank. (v, w) is stored scaled to unit w; xi keeps the
-    raw Krylov solve.
+    have full row rank. The common roots that spec(A) avoids follow
+    from eta: ``numkit.lambda_set(cert.eta, cert.rtol)``. (v, w) is
+    stored scaled to unit w; xi keeps the raw Krylov solve.
     """
 
     n: int
@@ -73,7 +75,6 @@ class CounterexampleCertificate:
     L: int
     T: int
     eta: Optional[np.ndarray]      # (n+L, m), rows eta_0..eta_{n+L-1}
-    lam: Optional[RootSet]
     A: np.ndarray
     zeta: np.ndarray
     E: Optional[tuple]             # (E_{n+L-1}, ..., E_{-1}), each (n, m)
@@ -90,7 +91,6 @@ class CounterexampleCertificate:
     residuals: dict
     rtol: float
     tol_cert: float
-    cluster_radius: float
 
     def state_pair(self) -> StateSpaceSystem:
         """The certified pair as a state-output system (A, B, I, 0)."""
@@ -101,7 +101,6 @@ class CounterexampleCertificate:
             "n": self.n, "m": self.m, "L": self.L, "T": self.T,
             "short_data_case": self.short_data_case,
             "eta": None if self.eta is None else self.eta.tolist(),
-            "lambda": None if self.lam is None else self.lam.to_dict(),
             "A": self.A.tolist(),
             "zeta": self.zeta.tolist(),
             "E": None if self.E is None else [Ei.tolist() for Ei in self.E],
@@ -117,7 +116,6 @@ class CounterexampleCertificate:
             "residuals": dict(self.residuals),
             "rtol": self.rtol,
             "tol_cert": self.tol_cert,
-            "cluster_radius": self.cluster_radius,
         }
 
 
@@ -291,7 +289,7 @@ def _project_to_kernel(eta_flat, K):
 
 
 def _kernel_vector(u, k, rtol, eta_override=None):
-    """Left-kernel vector eta of H_k(u), its annihilation residual and root set.
+    """Left-kernel vector eta of H_k(u), its annihilation residual and common roots.
 
     One SVD of H_k(u) decides both questions: the left-kernel basis K
     is empty exactly when u is persistently exciting of order k, which
@@ -299,7 +297,7 @@ def _kernel_vector(u, k, rtol, eta_override=None):
     unit vector, or ``eta_override`` snapped onto the span of K. With
     T = k-1 the Hankel matrix has no columns, K is the identity and the
     default is the last unit vector. Returns (eta as a (k, m) array,
-    max |eta^T H|, root set of eta's vector polynomial).
+    max |eta^T H|, ``lambda_set`` of eta).
     """
     T, m = u.length, u.dim
     H = hankel(u, k) if k <= T else np.zeros((k * m, 0))
@@ -326,6 +324,10 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
     """Shared engine behind the L >= 1 and L = 0 constructions."""
     k = n + L
     if u.length < k - 1:
+        if not (eta_override is None and A_override is None and zeta_override is None):
+            raise ValidationError(
+                f"eta, A and zeta overrides need T >= n+L-1 = {k - 1} samples, "
+                f"got {u.length}: shorter data always uses the stock pair")
         return _certify_short_data(u, n, L, rtol, tol_cert)
 
     eta, eta_residual, lam = _kernel_vector(u, k, rtol, eta_override)
@@ -348,13 +350,9 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
             raise ValidationError(f"A must be {n}x{n}, got {A.shape}")
         candidates = [("override", A)]
     else:
-        exclusion = max(0.1, 2.0 * lam.cluster_radius)
-        candidates = []
-        for lam0 in _lambda0_candidates():
-            if lam.distance(lam0) > exclusion:
-                candidates.append((lam0, _jordan_block(lam0, n)))
-            if len(candidates) == 32:
-                break
+        # lazy: the scan usually stops at its first candidate
+        scan = islice((z for z in _lambda0_candidates() if not lam.contains(z)), 32)
+        candidates = ((lam0, _jordan_block(lam0, n)) for lam0 in scan)
 
     failures = []
     for tag, A in candidates:
@@ -370,7 +368,7 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
 def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
     """One construction attempt; a verified certificate or a failure reason string."""
     m, T = u.dim, u.length
-    if any(lam.contains(z) for z in np.linalg.eigvals(A)):
+    if lam.contains(np.linalg.eigvals(A)).any():
         return "spectrum intersects the forbidden root set"
 
     ctrl_zeta, _ = is_controllable(A, zeta.reshape(-1, 1), rtol)
@@ -425,7 +423,7 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
 
     return CounterexampleCertificate(
         n=n, m=m, L=L, T=T,
-        eta=eta, lam=lam, A=A, zeta=zeta, E=E_desc, B=B, x0=x0, xi=xi, v=v, w=w,
+        eta=eta, A=A, zeta=zeta, E=E_desc, B=B, x0=x0, xi=xi, v=v, w=w,
         residual_annihilation=residual,
         rank_deficit_confirmed=True,
         short_data_case=False,
@@ -437,7 +435,7 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
             "closed_form": closed_form_residual,
             "xi_orthogonality": xi_orth,
         },
-        rtol=rtol, tol_cert=tol_cert, cluster_radius=lam.cluster_radius,
+        rtol=rtol, tol_cert=tol_cert,
     )
 
 
@@ -469,14 +467,14 @@ def _certify_short_data(u, n, L, rtol, tol_cert):
     srep = rank_report(stacked, rtol)
     return CounterexampleCertificate(
         n=n, m=m, L=L, T=T,
-        eta=None, lam=None, A=A, zeta=zeta, E=None, B=B, x0=x0, xi=w, v=v, w=w,
+        eta=None, A=A, zeta=zeta, E=None, B=B, x0=x0, xi=w, v=v, w=w,
         residual_annihilation=residual,
         rank_deficit_confirmed=srep.rank < n + L * m,
         short_data_case=True,
         states=states,
         stacked_rank=srep,
         residuals={"annihilation": residual},
-        rtol=rtol, tol_cert=tol_cert, cluster_radius=CLUSTER_RADIUS,
+        rtol=rtol, tol_cert=tol_cert,
     )
 
 
@@ -485,15 +483,20 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
     """Build and verify a counterexample for a non-exciting input.
 
     Requires that u is not persistently exciting of order n+L. By
-    default A is a Jordan block whose eigenvalue is scanned away from
-    the forbidden root set and zeta is the last basis vector; ``eta``,
-    ``A`` and ``zeta`` accept explicit overrides (a supplied eta is
-    snapped onto the actual kernel). Every certificate is verified
-    before return: annihilation residual within the scaled budget,
-    (A, B) controllable, spectrum disjoint from the root set, stacked
-    matrix rank-deficient.
+    default A is a Jordan block J(lambda0), scanned over the candidates
+    0, 1, -1, 2, -2, ... that are not common roots of eta, and zeta is
+    the last basis vector; then the last row of B is eta(lambda0)^T, so
+    (A, B) is controllable exactly when lambda0 is not a common root.
+    ``eta``, ``A`` and ``zeta`` accept explicit overrides (a supplied
+    eta is snapped onto the actual kernel); data shorter than n+L-1
+    samples always gets the stock pair and refuses them. Every
+    certificate is verified before return: annihilation residual within
+    the scaled budget, (A, B) controllable, spectrum free of common
+    roots, stacked matrix rank-deficient.
 
     Raises:
+        ValidationError: an override was given for data shorter than
+            n+L-1 samples.
         PersistentlyExcitingError: the input is exciting of order n+L.
         ConstructionError: no eigenvalue candidate produced a verifiable
             certificate (diagnostics included).
@@ -585,11 +588,12 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
     """Counterexample with a user-chosen pair (A, B), single-input case.
 
     For m = 1 almost any pair works: it suffices that spec(A) avoids
-    the kernel vector's root set, because then S = sum_i eta_i A^i is
-    invertible and zeta = S^(-1) B reproduces B through the recursion.
+    the roots of the kernel polynomial, because then S = sum_i eta_i A^i
+    is invertible and zeta = S^(-1) B reproduces B through the recursion.
 
     Raises:
-        EigenvalueConflictError: spec(A) touches the root set.
+        EigenvalueConflictError: an eigenvalue of A is a root of the
+            kernel polynomial at tolerance rtol.
         NearSingularError: S is too ill-conditioned to invert.
     """
     u = as_signal(u)
@@ -613,7 +617,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         raise ValidationError(f"need T >= n+L-1 = {k - 1} samples, got {u.length}")
     eta, eta_residual, lam = _kernel_vector(u, k, rtol)
 
-    if any(lam.contains(z) for z in np.linalg.eigvals(A)):
+    if lam.contains(np.linalg.eigvals(A)).any():
         raise EigenvalueConflictError(
             "spec(A) intersects the root set of the kernel vector; pick a different A"
         )
@@ -641,9 +645,9 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     For n = 1 the annihilator condition is vacuous, so every admissible
     (a, zeta) sample gives a counterexample system: b = zeta * sum_i
     a^i eta_i and the matching initial state. Samples with zeta = 0 or
-    with ``a`` inside the root set are skipped and counted. Each
-    emitted point is re-verified by an independent rank check on its
-    simulated data.
+    with ``a`` a common root of eta's vector polynomial are skipped and
+    counted, all in one array test. Each emitted point is re-verified by
+    an independent rank check on its simulated data.
 
     The kept samples are handled in fixed blocks of points: one block
     runs the recursion and the state steps as array operations, with the
@@ -664,8 +668,7 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
         ) from exc
 
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    kept = pairs[np.array([not (zeta_s == 0.0 or lam.contains(a)) for a, zeta_s in pairs],
-                          dtype=bool)]
+    kept = pairs[~((pairs[:, 1] == 0.0) | lam.contains(pairs[:, 0]))]
     Hu = hankel(u, L)
     stack = np.empty((min(len(kept), _CLOUD_BLOCK), L * m + 1, T - L + 1))
     stack[:, :-1, :] = Hu

@@ -9,10 +9,6 @@ class ValidationError(ValueError):
     """Input rejected before any computation (bad shape, NaN/Inf, out-of-range argument)."""
 
 
-class ZeroPolynomialError(ValidationError):
-    """All polynomial coefficients are numerically zero; the root set is undefined."""
-
-
 class NotATrajectoryError(ValidationError):
     """Supplied (input, output) data is not a trajectory of the given system."""
 
@@ -26,7 +22,7 @@ class ConstructionError(RuntimeError):
 
 
 class EigenvalueConflictError(ConstructionError):
-    """spec(A) intersects the root set the construction must avoid."""
+    """An eigenvalue of A is a common root of the kernel polynomial the construction must avoid."""
 
 
 class NearSingularError(ConstructionError):

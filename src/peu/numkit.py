@@ -1,4 +1,4 @@
-"""Dense matrix kernel: rank reports, null spaces, polynomial roots.
+"""Dense matrix kernel: rank reports, null spaces, common polynomial roots.
 
 Matrices are plain 2-D float64 numpy arrays, validated on entry (finite
 entries only). Every single rank decision in the package flows through
@@ -12,9 +12,9 @@ tolerance rule serves ``rank_report``, ``stacked_ranks`` and
 ``kernel_basis`` keeps the SVD's order, so its last column is the
 best-annihilating unit vector: one call both decides whether a kernel
 exists and supplies that vector. Every SVD goes through ``_svd``, which
-retries on the transpose where LAPACK does not converge. Complex
-arithmetic stays inside this module: callers receive real matrices and
-``RootSet`` values.
+retries on the transpose where LAPACK does not converge.
+``lambda_set`` holds the common roots of a vector polynomial implicitly
+and decides membership by evaluating the polynomial.
 """
 
 from __future__ import annotations
@@ -23,18 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import CLUSTER_RADIUS, RTOL
-from .errors import ValidationError, ZeroPolynomialError
+from .defaults import RTOL
+from .errors import ValidationError
 
 __all__ = [
+    "LambdaSet",
     "RankReport",
-    "RootSet",
     "as_matrix",
     "as_vector",
     "rank_report",
     "stacked_ranks",
     "kernel_basis",
-    "polynomial_roots",
     "lambda_set",
 ]
 
@@ -83,36 +82,6 @@ class RankReport:
             "full_row_rank": self.full_row_rank,
             "full_col_rank": self.full_col_rank,
             "shape": list(self.shape),
-        }
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Finite set of complex roots, merged at ``cluster_radius``.
-
-    Stored roots are pairwise farther apart than ``cluster_radius``;
-    multiple roots collapse onto one representative.
-    """
-
-    roots: tuple
-    cluster_radius: float
-
-    def __len__(self):
-        return len(self.roots)
-
-    def distance(self, z) -> float:
-        """Distance from ``z`` to the nearest stored root (inf when empty)."""
-        if not self.roots:
-            return np.inf
-        return min(abs(complex(z) - r) for r in self.roots)
-
-    def contains(self, z) -> bool:
-        return self.distance(z) <= self.cluster_radius
-
-    def to_dict(self):
-        return {
-            "roots": [[r.real, r.imag] for r in self.roots],
-            "cluster_radius": self.cluster_radius,
         }
 
 
@@ -229,58 +198,53 @@ def kernel_basis(M, rtol=RTOL):
     return vh[rank:].T.copy()
 
 
-def _cluster(points, radius):
-    """Greedy merge: keep a point only when farther than ``radius`` from all kept ones."""
-    reps = []
-    for z in sorted(points, key=lambda z: (z.real, z.imag)):
-        if all(abs(z - r) > radius for r in reps):
-            reps.append(z)
-    return tuple(reps)
+@dataclass(frozen=True)
+class LambdaSet:
+    """The common roots of ``eta(z) = sum_i z**i * eta_i``, held implicitly.
 
-
-def polynomial_roots(coeffs, rtol=RTOL, cluster_radius=CLUSTER_RADIUS) -> RootSet:
-    """Roots of ``sum_i coeffs[i] * z**i`` via companion-matrix eigenvalues.
-
-    Trailing coefficients below ``rtol * max|c_i|`` are trimmed before the
-    companion matrix is formed; a polynomial that trims to a nonzero
-    constant has an empty root set. Numerically coincident roots are
-    merged at ``cluster_radius``.
-
-    Raises:
-        ZeroPolynomialError: all coefficients are numerically zero.
+    Membership is decided by evaluating eta, never by finding roots: z
+    belongs to the set when ``margin(z) <= rtol``. A root of any
+    multiplicity passes at rounding level, where companion-matrix roots
+    would split it by about eps**(1/multiplicity). ``eta`` is stored
+    scaled to unit Frobenius norm.
     """
-    c = as_vector(coeffs, "coefficients")
-    if cluster_radius <= 0:
-        raise ValidationError("cluster_radius must be positive")
-    if c.size == 0:
-        raise ZeroPolynomialError("no coefficients given")
-    cmax = float(np.abs(c).max())
-    if cmax == 0.0:
-        raise ZeroPolynomialError("identically-zero polynomial")
-    thr = rtol * cmax
-    degree = c.size - 1
-    while degree > 0 and abs(c[degree]) <= thr:
-        degree -= 1
-    if degree == 0:
-        if abs(c[0]) <= thr:
-            raise ZeroPolynomialError("identically-zero polynomial")
-        return RootSet(roots=(), cluster_radius=cluster_radius)
-    roots = np.polynomial.polynomial.polyroots(c[: degree + 1])
-    return RootSet(roots=_cluster([complex(z) for z in roots], cluster_radius),
-                   cluster_radius=cluster_radius)
+
+    eta: np.ndarray                # (k, m), rows eta_0..eta_{k-1}
+    rtol: float
+
+    def margin(self, z):
+        """``||eta(z)|| / (||eta||_F * ||(1, z, ..., z**(k-1))||)``, which lies in [0, 1].
+
+        ``z`` is a real or complex number or an array of them; the result
+        is a float or an array of ``z``'s shape. Where |z| > 1 the ratio
+        is evaluated at 1/z with the coefficients reversed, its exact
+        equivalent, so no power of z overflows.
+        """
+        z = np.asarray(z)
+        outside = np.abs(z) > 1
+        w = np.where(outside, 1 / np.where(outside, z, 1), z)
+        k = len(self.eta)
+        powers = np.vander(w.ravel(), k, increasing=True).reshape(w.shape + (k,))
+        value = np.where(outside[..., None], powers @ self.eta[::-1], powers @ self.eta)
+        ratio = np.minimum(np.linalg.norm(value, axis=-1) / np.linalg.norm(powers, axis=-1), 1.0)
+        return float(ratio) if ratio.ndim == 0 else ratio
+
+    def contains(self, z):
+        """Whether z is a common root at tolerance ``rtol``, shaped like ``margin(z)``."""
+        return self.margin(z) <= self.rtol
 
 
-def lambda_set(eta, rtol=RTOL, cluster_radius=CLUSTER_RADIUS) -> RootSet:
+def lambda_set(eta, rtol=RTOL) -> LambdaSet:
     """Common roots of the vector polynomial ``sum_i z**i * eta_i``.
 
     ``eta`` is a sequence of m-vectors (rows of a (k, m) array; a 1-D
-    array is treated as m = 1). The returned set is the intersection,
-    within ``cluster_radius``, of the root sets of the m scalar
-    coordinate polynomials; coordinate polynomials that are identically
-    zero (relative to the largest entry of eta) impose no constraint.
+    array is treated as m = 1). A coordinate polynomial that is
+    identically zero imposes no constraint, since it adds nothing to
+    ``||eta(z)||``.
 
     Raises:
-        ValidationError: eta is numerically zero.
+        ValidationError: eta is empty, non-finite or zero, or rtol is not
+            positive and finite.
     """
     E = np.asarray(eta, dtype=float)
     if E.ndim == 1:
@@ -289,21 +253,9 @@ def lambda_set(eta, rtol=RTOL, cluster_radius=CLUSTER_RADIUS) -> RootSet:
         raise ValidationError("eta must be a sequence of coefficient vectors")
     if E.size == 0 or not np.all(np.isfinite(E)):
         raise ValidationError("eta must be non-empty and finite")
+    _check_rtol(rtol)
     scale = float(np.abs(E).max())
     if scale == 0.0:
         raise ValidationError("eta must be nonzero")
-    zero_thr = rtol * scale
-
-    constraint_sets = []
-    for j in range(E.shape[1]):
-        col = E[:, j]
-        if np.abs(col).max() <= zero_thr:
-            continue  # no constraint from an identically-zero coordinate
-        constraint_sets.append(polynomial_roots(col, rtol, cluster_radius))
-    if not constraint_sets:
-        raise ValidationError("eta must be nonzero")
-
-    common = list(constraint_sets[0].roots)
-    for rs in constraint_sets[1:]:
-        common = [z for z in common if rs.distance(z) <= cluster_radius]
-    return RootSet(roots=_cluster(common, cluster_radius), cluster_radius=cluster_radius)
+    E = E / scale  # keeps the norm below from overflowing
+    return LambdaSet(eta=E / np.linalg.norm(E), rtol=rtol)

@@ -15,7 +15,7 @@ from peu import (
     single_input_family,
     universality_verdict,
 )
-from peu.defaults import CLUSTER_RADIUS, RTOL
+from peu.defaults import RTOL
 from peu.numkit import lambda_set, rank_report
 from peu.signals import hankel
 
@@ -86,6 +86,24 @@ class TestConstructCertificate:
         assert not cert.v.any()
         H1x = hankel(Signal(cert.states), 1)
         assert np.abs(cert.w @ H1x).max() <= 1e-10
+        certificate_is_sound(cert, u)
+
+    def test_short_data_overrides_rejected(self):
+        # T < n+L-1 always uses the stock pair, so an override cannot be honoured
+        u = Signal(np.array([1.0, 2.0]))
+        for override in ({"A": np.diag([0.5, 0.25, 0.125])}, {"zeta": np.ones(3)},
+                         {"eta": np.ones(4)}):
+            with pytest.raises(ValidationError, match="overrides need T >= n\\+L-1 = 3"):
+                construct_certificate(u, 3, 1, **override)
+        with pytest.raises(ValidationError, match="overrides need"):
+            construct_certificate_l0(Signal(np.array([1.0, 2.0, 3.0])), 4, A=np.eye(4))
+
+    def test_cubic_input_quadruple_root(self):
+        # u = t^3 is annihilated by the fourth difference, eta ~ (z - 1)^4,
+        # so 1 is a root of multiplicity 4 and must count as a root
+        u = Signal(np.arange(12.0) ** 3)
+        cert = construct_certificate(u, 4, 1)
+        assert lambda_set(cert.eta, cert.rtol).contains(1.0)
         certificate_is_sound(cert, u)
 
     def test_boundary_length(self):
@@ -264,13 +282,22 @@ class TestSingleInputFamily:
             single_input_family(u, 3, 1, A, np.ones(3))
 
     def test_near_singular_guard(self):
-        from peu import NearSingularError
-
-        # ramp input: kernel polynomial (z-1)^2, so an eigenvalue just
-        # outside the cluster radius still leaves sum eta_i A^i nearly
-        # singular through the double root
+        # ramp input: kernel polynomial (z-1)^2. An eigenvalue 2e-6 from the
+        # double root has margin ||eta(z)|| / (||eta|| ||(1, z, z^2)||) = 9.4e-13,
+        # so it is a root at rtol
         u = Signal(np.arange(8.0))
         A = np.diag([1.0 + 2e-6, 0.5])
+        with pytest.raises(EigenvalueConflictError):
+            single_input_family(u, 2, 1, A, np.ones(2))
+
+    def test_near_singular_non_normal(self):
+        # the only eigenvalue 0.5 is far from the double root (margin 0.089),
+        # but the non-normal A makes S = sum_i eta_i A^i, proportional to
+        # (A - I)^2, ill-conditioned: cond(S) ~ 1.6e11
+        from peu import NearSingularError
+
+        u = Signal(np.arange(8.0))
+        A = np.array([[0.5, 1e5], [0.0, 0.5]])
         with pytest.raises(NearSingularError):
             single_input_family(u, 2, 1, A, np.ones(2))
 
@@ -309,7 +336,7 @@ def _cloud_point_by_point(u, L, pairs):
     """
     m, T, k = u.dim, u.length, 1 + L
     eta = np.linalg.svd(hankel(u, k).T)[2][-1].reshape(k, m)
-    lam = lambda_set(eta, RTOL, CLUSTER_RADIUS)
+    lam = lambda_set(eta, RTOL)
     Hu = hankel(u, L)
     points, n_skipped = [], 0
     for a, zeta_s in np.asarray(pairs, dtype=float).reshape(-1, 2):
@@ -346,11 +373,19 @@ class TestSampleSystemCloud:
         pairs = np.column_stack([rng.uniform(-1.5, 1.5, 600), rng.uniform(-2, 2, 600)])
         pairs[::7, 1] = 0.0
         pairs[3::11, 0] = pole
-        pairs[5::13, 0] = pole + 0.5 * CLUSTER_RADIUS
+        # the margin grows linearly off a simple root: one probe on each side of rtol
+        lam = lambda_set(eta, RTOL)
+        slope = lam.margin(pole + 1e-6) / 1e-6
+        inside, outside = pole + 0.5 * RTOL / slope, pole + 2.0 * RTOL / slope
+        assert lam.contains(inside) and not lam.contains(outside)
+        pairs[5::13, 0] = inside
+        pairs[6::13, 0] = outside
         expected, expected_skipped = _cloud_point_by_point(u, L, pairs)
         cloud = sample_system_cloud(u, L, pairs)
         assert cloud.n_skipped == expected_skipped
-        assert expected_skipped >= np.sum((pairs[:, 1] == 0.0) | (pairs[:, 0] == pole))
+        assert expected_skipped >= np.sum((pairs[:, 1] == 0.0)
+                                          | np.isin(pairs[:, 0], [pole, inside]))
+        assert outside in [pt.a for pt in cloud.points]
         assert len(cloud.points) == len(expected) > 256  # more than one block
         for pt, (a, b, x0, verified) in zip(cloud.points, expected):
             assert type(pt.a) is float and type(pt.x0) is float and type(pt.verified) is bool

@@ -254,6 +254,18 @@ class TestCounterexample:
         cert = json.loads((bundle / "certificate.json").read_text())
         assert cert["short_data_case"] is True
 
+    def test_short_input_override_is_input_error(self, tmp_path, capsys):
+        sig = tmp_path / "short.csv"
+        write_signal_csv(str(sig), Signal(np.array([1.0, 2.0])), RunConfig())
+        A_file = tmp_path / "A.json"
+        A_file.write_text("[[0.5, 0, 0], [0, 0.25, 0], [0, 0, 0.125]]")
+        bundle = tmp_path / "out"
+        code = main(["counterexample", str(sig), "--n", "3", "--L", "1",
+                     "--override-A", str(A_file), "--out", str(bundle)])
+        assert code == EXIT_INPUT
+        assert "overrides need T >= n+L-1" in capsys.readouterr().err
+        assert not bundle.exists()
+
     def test_depth_zero_flag(self, tmp_path):
         sig = tmp_path / "ones.csv"
         write_signal_csv(str(sig), Signal(np.ones(6)), RunConfig())
@@ -477,6 +489,7 @@ class TestArtifactShape:
         for cert in (json.loads((bundle / "certificate.json").read_text()),
                      json.loads(verdict.read_text())["certificate"]):
             assert set(cert["residuals"]) == expected
+            assert "lambda" not in cert and "cluster_radius" not in cert
 
     def test_format_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peu import (
     RTOL,
     ValidationError,
-    ZeroPolynomialError,
     kernel_basis,
     lambda_set,
-    polynomial_roots,
     rank_report,
 )
 from peu.numkit import stacked_ranks
@@ -217,92 +216,92 @@ class TestSvdRetry:
         assert calls == [(5, 3), (3, 5)]
 
 
-class TestPolynomialRoots:
-    def test_difference_of_squares(self):
-        rs = polynomial_roots([-1.0, 0.0, 1.0])
-        assert sorted(z.real for z in rs.roots) == pytest.approx([-1.0, 1.0])
-        assert all(abs(z.imag) < 1e-12 for z in rs.roots)
-
-    def test_multiple_root_collapses(self):
-        rs = polynomial_roots([0.0, 0.0, 1.0])
-        assert len(rs) == 1
-        assert abs(rs.roots[0]) < 1e-8
-
-    def test_recovers_integer_roots(self):
-        roots = [-2, -1, 1, 3]
-        rs = polynomial_roots(expand_from_roots(roots))
-        assert len(rs) == 4
-        for r in roots:
-            assert rs.distance(r) < 1e-8
-
-    def test_trailing_trim(self):
-        # degree drops to 1 once the tiny leading coefficient is trimmed
-        rs = polynomial_roots([1.0, -1.0, 1e-15])
-        assert len(rs) == 1
-        assert rs.distance(1.0) < 1e-10
-
-    def test_constant_polynomial(self):
-        assert len(polynomial_roots([2.0])) == 0
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
-            polynomial_roots([0.0, 0.0])
-
-    def test_random_expansions(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            deg = rng.integers(1, 9)
-            roots = rng.choice(np.arange(-4, 5), size=deg, replace=False)
-            rs = polynomial_roots(expand_from_roots(roots))
-            for r in roots:
-                assert rs.distance(r) < 1e-6
-
-
 class TestLambdaSet:
     def test_scalar_coordinates(self):
-        rs = lambda_set(np.array([-1.0, 0.0, 1.0]))
-        assert sorted(z.real for z in rs.roots) == pytest.approx([-1.0, 1.0])
+        lam = lambda_set(np.array([-1.0, 0.0, 1.0]))
+        assert lam.contains(1.0) and lam.contains(-1.0)
+        assert not lam.contains(0.0) and not lam.contains(1j)
+        np.testing.assert_array_equal(lam.contains(np.array([-1.0, 0.5, 1.0])),
+                                      [True, False, True])
 
     def test_no_common_root(self):
         eta = np.zeros((3, 2))
         eta[0, 0] = 1.0  # coordinate 1 is the constant 1
         eta[1, 1] = 1.0
-        assert len(lambda_set(eta)) == 0
+        lam = lambda_set(eta)
+        probes = np.array([0.0, 1.0, -1.0, 2.0, 1j, 3 - 4j])
+        assert not lam.contains(probes).any()
+        # ||eta||_F^2 = 2, so margin^2 = (1 + |z|^2) / (2 (1 + |z|^2 + |z|^4))
+        r2 = np.abs(probes) ** 2
+        np.testing.assert_allclose(lam.margin(probes),
+                                   np.sqrt((1 + r2) / (2 * (1 + r2 + r2 ** 2))), rtol=1e-14)
 
     def test_common_root(self):
         # z^2 - 1 and z^2 - 3z + 2 share only z = 1
         eta = np.array([[-1.0, 2.0], [0.0, -3.0], [1.0, 1.0]])
-        rs = lambda_set(eta)
-        assert len(rs) == 1
-        assert rs.distance(1.0) < 1e-10
+        lam = lambda_set(eta)
+        assert lam.contains(1.0)
+        assert not lam.contains(np.array([-1.0, 2.0, 0.0])).any()
 
     def test_zero_eta_rejected(self):
         with pytest.raises(ValidationError):
             lambda_set(np.zeros((3, 2)))
+        for bad in ([0.0, 0.0], [], [[np.nan]], np.zeros((2, 2, 2))):
+            with pytest.raises(ValidationError):
+                lambda_set(bad)
 
     def test_members_annihilate_probes_do_not(self):
+        # companion-matrix roots of random scalar polynomials are members;
+        # random complex probes are not
         rng = np.random.default_rng(23)
         for _ in range(10):
-            k, m = rng.integers(2, 6), rng.integers(1, 3)
-            eta = rng.standard_normal((k, m))
-            rs = lambda_set(eta)
-            scale = np.abs(eta).max()
-            for lam in rs.roots:
-                val = sum(lam ** i * eta[i] for i in range(k))
-                bound = 1e-6 * scale * max(1.0, abs(lam)) ** (k - 1)
-                assert np.linalg.norm(val) <= bound
+            eta = rng.standard_normal(int(rng.integers(2, 6)))
+            lam = lambda_set(eta)
+            roots = np.polynomial.polynomial.polyroots(eta)
+            assert lam.contains(roots).all()
             probes = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-            for mu in probes:
-                if rs.distance(mu) > rs.cluster_radius:
-                    val = sum(mu ** i * eta[i] for i in range(k))
-                    assert np.linalg.norm(val) > 0.0
+            assert not lam.contains(probes).any()
 
-    def test_cluster_invariant(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10):
-            eta = rng.standard_normal(rng.integers(2, 7))
-            rs = lambda_set(eta, cluster_radius=1e-3)
-            roots = rs.roots
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    assert abs(roots[i] - roots[j]) > 1e-3
+    def test_multiple_root(self):
+        # a root of multiplicity 4 is found at rounding level, where
+        # companion-matrix roots would scatter by about eps**(1/4) ~ 1e-4
+        lam = lambda_set(expand_from_roots([1, 1, 1, 1, -2]))
+        assert lam.margin(1.0) <= 1e-15
+        assert lam.contains(-2.0)
+        assert not lam.contains(1.1)
+        assert lambda_set([0.0, 0.0, 1.0]).margin(0.0) == 0.0
+
+    def test_constant_polynomial(self):
+        lam = lambda_set([2.0])
+        z = np.array([0.0, 1.0, -3.0, 1e300, 2j])
+        np.testing.assert_array_equal(lam.margin(z), np.ones(5))
+
+    def test_margin_reaches_one(self):
+        # eta parallel to (1, z, z^2) meets the Cauchy-Schwarz bound; unclipped,
+        # rounding puts this margin at 1 + 2.2e-16
+        z = 0.21327155153435973
+        lam = lambda_set([7.322015953741584, 1.5615777028138023, 0.3330400995205609])
+        assert lam.margin(z) == 1.0
+
+    def test_large_arguments_do_not_overflow(self):
+        # z^2 + z - 12: the margin tends to |eta_2| / ||eta|| as |z| grows
+        lam = lambda_set(expand_from_roots([3, -4]))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            margins = lam.margin(np.array([1e200, -1e300, 1e160j]))
+        np.testing.assert_allclose(margins, 1 / np.sqrt(146), rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mult=st.dictionaries(st.integers(-4, 4), st.integers(1, 4), min_size=1),
+           c_exp=st.floats(-8, 8), z=st.floats(-6, 6) | st.complex_numbers(max_magnitude=6))
+    def test_roots_of_expansions(self, mult, c_exp, z):
+        roots = [r for r, k in mult.items() for _ in range(k)]
+        eta = np.array(expand_from_roots(roots))
+        lam, scaled, rev = lambda_set(eta), lambda_set(10.0 ** c_exp * eta), lambda_set(eta[::-1])
+        for r in mult:
+            assert lam.contains(float(r))
+        probes = np.array([*mult, z], dtype=complex)
+        margins = lam.margin(probes)
+        assert ((0.0 <= margins) & (margins <= 1.0)).all()
+        np.testing.assert_allclose(scaled.margin(probes), margins, rtol=1e-9, atol=1e-14)
+        if abs(z) >= 1e-3:  # 1/z stays finite
+            assert rev.margin(1 / z) == pytest.approx(lam.margin(z), rel=1e-9, abs=1e-14)

@@ -216,6 +216,36 @@ class TestSvdRetry:
         assert calls == [(5, 3), (3, 5)]
 
 
+class TestPolynomialRoots:
+    # a 1-D eta is a single polynomial, so lambda_set's members are its roots
+
+    def test_difference_of_squares(self):
+        lam = lambda_set([-1.0, 0.0, 1.0])
+        assert lam.margin(1.0) <= 1e-15 and lam.margin(-1.0) <= 1e-15
+        assert not lam.contains(np.array([0.0, 1j, -1j, 2.0])).any()
+
+    def test_recovers_integer_roots(self):
+        roots = [-2, -1, 1, 3]
+        lam = lambda_set(expand_from_roots(roots))
+        for r in roots:
+            assert lam.margin(float(r)) <= 1e-14
+        assert not lam.contains(np.array([-4.0, -3.0, 0.0, 2.0, 4.0])).any()
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValidationError):
+            lambda_set([0.0, 0.0])
+
+    def test_random_expansions(self):
+        rng = np.random.default_rng(19)
+        grid = np.arange(-4, 5)
+        for _ in range(20):
+            deg = rng.integers(1, 9)
+            roots = rng.choice(grid, size=deg, replace=False)
+            lam = lambda_set(expand_from_roots(roots))
+            members = lam.contains(grid.astype(float))
+            np.testing.assert_array_equal(members, np.isin(grid, roots))
+
+
 class TestLambdaSet:
     def test_scalar_coordinates(self):
         lam = lambda_set(np.array([-1.0, 0.0, 1.0]))

@@ -227,35 +227,27 @@ def _recursion_and_state(A, zeta, eta, u_data, n, m, L):
 def _closed_form_states(A, zeta, eta, E_desc, u_data, n, m, L):
     """Direct evaluation of the constructive trajectory formulas.
 
-    Piecewise: a moving-window combination of the E matrices up to
-    t = s := T-L-n+1, then an explicit double sum over Krylov vectors
-    for the final n-1 steps. Replays the induction behind the
-    construction; simulation must agree to rounding.
+    Every state is x(t) = -sum_{i=0}^{k-2} E_i u(t+i) with u padded by
+    n-1 zero samples, which truncates the window exactly where the
+    formula does for the final n-1 steps; those steps t = s+1..s+n-1
+    (s := T-L-n+1) also gain sum_{j<t-s} A^(t-s-1-j) zeta c_j, with
+    c_j = sum_{l=0}^{k-2-j} eta_l u(s+j+l). Both parts are products
+    with one depth-(k-1) Hankel matrix of the padded input. Replays the
+    induction behind the construction; simulation must agree to rounding.
     """
     T = u_data.shape[0]
     k = n + L
     s = T - L - n + 1
-
-    def E_at(i):  # E_desc[0] = E_{k-1} ... E_desc[-1] = E_{-1}
-        return E_desc[k - 1 - i]
-
-    out = np.empty((T - L + 1, n))
-    for t in range(0, s + 1):
-        acc = np.zeros(n)
-        for i in range(k - 1):
-            acc -= E_at(i) @ u_data[t + i]
-        out[t] = acc
-    A_pows = [np.eye(n)]
-    for _ in range(max(n - 2, 0)):
-        A_pows.append(A @ A_pows[-1])
-    for t in range(1, n):
-        acc = np.zeros(n)
-        for j in range(t):
-            for i in range(j, k - 1):
-                acc += A_pows[t - j - 1] @ zeta * float(eta[i - j] @ u_data[i + s])
-        for i in range(t, k - 1):
-            acc -= E_at(i - t) @ u_data[i + s]
-        out[t + s] = acc
+    if k == 1:
+        return np.zeros((T - L + 1, n))
+    H = hankel(np.vstack([u_data, np.zeros((n - 1, m))]), k - 1)
+    G = np.hstack(E_desc[k - 1:0:-1])  # [E_0 ... E_{k-2}]; E_desc[k-1-i] is E_i
+    out = -(G @ H).T
+    if n > 1:
+        c = eta[:k - 1].reshape(-1) @ H[:, s:s + n - 1]
+        lags = np.arange(n - 1)
+        C = np.triu(c[np.abs(lags[None, :] - lags[:, None])])  # C[p, q] = c_{q-p}
+        out[s + 1:] += (_krylov(A, zeta, n - 1) @ C).T
     return out
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -282,6 +283,8 @@ def cmd_counterexample(args) -> int:
 
     kwargs = dict(rtol=cfg.rtol, tol_cert=cfg.tol_cert, **overrides)
     if args.L0:
+        if args.L is not None:
+            raise ValidationError("--L and --L0 are mutually exclusive")
         cert = adversary.construct_certificate_l0(u, args.n, **kwargs)
         u_used = u.window(0, u.length - 1)
     else:
@@ -427,6 +430,7 @@ def cmd_repro(args) -> int:
 # parser
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rtol", type=float, default=RTOL,

@@ -126,3 +126,41 @@ def exact_single_input_stacked(u_rational, n, L, A_rational, B_rational, eta_rat
     for r in range(n):
         stacked.append([x[t][r] for t in range(T - L + 1)])
     return stacked
+
+
+# -- loop replica of the closed-form trajectory formulas --------------------
+
+
+def closed_form_states_loop(A, zeta, eta, E_desc, u_data, n, m, L):
+    """Direct evaluation of the constructive trajectory formulas.
+
+    Piecewise: a moving-window combination of the E matrices up to
+    t = s := T-L-n+1, then an explicit double sum over Krylov vectors
+    for the final n-1 steps. Replays the induction behind the
+    construction; simulation must agree to rounding.
+    """
+    T = u_data.shape[0]
+    k = n + L
+    s = T - L - n + 1
+
+    def E_at(i):  # E_desc[0] = E_{k-1} ... E_desc[-1] = E_{-1}
+        return E_desc[k - 1 - i]
+
+    out = np.empty((T - L + 1, n))
+    for t in range(0, s + 1):
+        acc = np.zeros(n)
+        for i in range(k - 1):
+            acc -= E_at(i) @ u_data[t + i]
+        out[t] = acc
+    A_pows = [np.eye(n)]
+    for _ in range(max(n - 2, 0)):
+        A_pows.append(A @ A_pows[-1])
+    for t in range(1, n):
+        acc = np.zeros(n)
+        for j in range(t):
+            for i in range(j, k - 1):
+                acc += A_pows[t - j - 1] @ zeta * float(eta[i - j] @ u_data[i + s])
+        for i in range(t, k - 1):
+            acc -= E_at(i - t) @ u_data[i + s]
+        out[t + s] = acc
+    return out

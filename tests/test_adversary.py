@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peu import (
     EigenvalueConflictError,
@@ -15,12 +16,13 @@ from peu import (
     single_input_family,
     universality_verdict,
 )
+from peu.adversary import _closed_form_states, _jordan_block, _recursion_and_state
 from peu.defaults import RTOL
 from peu.numkit import lambda_set, rank_report
 from peu.signals import hankel
 
 from conftest import non_exciting_input, xi_at_reading
-from oracles import exact_rank, exact_single_input_stacked
+from oracles import closed_form_states_loop, exact_rank, exact_single_input_stacked
 
 
 def certificate_is_sound(cert, u):
@@ -207,6 +209,52 @@ class TestShortDataMultiInput:
             construct_certificate_l0(u, 3, seed=0)
         with pytest.raises(TypeError):
             universality_verdict(u, 3, 1, seed=0)
+
+
+def _relative_gap(states, cf):
+    """The closed-form residual as ``_try_build`` measures it."""
+    return float(np.abs(states - cf).max()) / (1.0 + float(np.abs(states).max()))
+
+
+class TestClosedFormStates:
+    """The array form of the trajectory formulas against the loop that spells them out."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 8), L=st.integers(0, 4), m=st.integers(1, 3),
+           data=st.data(), pole=st.sampled_from([None, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, n, L, m, data, pole, seed):
+        k = n + L
+        T = data.draw(st.integers(k - 1, 3 * k), label="T")
+        rng = np.random.default_rng(seed)
+        A = (rng.standard_normal((n, n)) / np.sqrt(n) if pole is None
+             else _jordan_block(pole, n))
+        zeta, eta = rng.standard_normal(n), rng.standard_normal((k, m))
+        u = rng.standard_normal((T, m))
+        E_desc, _, _, _ = _recursion_and_state(A, zeta, eta, u, n, m, L)
+        cf = _closed_form_states(A, zeta, eta, E_desc, u, n, m, L)
+        ref = closed_form_states_loop(A, zeta, eta, E_desc, u, n, m, L)
+        assert cf.shape == ref.shape == (T - L + 1, n)
+        assert _relative_gap(ref, cf) <= 1e-12
+
+    @pytest.mark.parametrize("n,m,L,T", [(3, 1, 2, 11), (4, 2, 1, 16), (2, 3, 0, 9)])
+    def test_perturbed_recursion_is_caught(self, n, m, L, T):
+        # the replay is an independent check: a 1e-6 relative error in any
+        # E_i it reads moves it off the simulated states by more than 1e-8
+        u, _ = non_exciting_input(np.random.default_rng(5), n, m, L, T)
+        if L == 0:  # the depth-0 variant reads one trailing sample it ignores
+            cert = construct_certificate_l0(Signal(np.vstack([u.samples, np.zeros((1, m))])), n)
+        else:
+            cert = construct_certificate(u, n, L)
+        args = (cert.A, cert.zeta, cert.eta)
+        E = list(cert.E)
+        assert _relative_gap(cert.states, _closed_form_states(*args, E, u.samples, n, m, L)) <= 1e-8
+        k = n + L
+        for i in range(k - 1):
+            bent = E.copy()
+            bent[k - 1 - i] = E[k - 1 - i] * (1.0 + 1e-6)  # E_i
+            cf = _closed_form_states(*args, bent, u.samples, n, m, L)
+            assert _relative_gap(cert.states, cf) > 1e-8, f"E_{i}"
 
 
 class TestExtendToOutput:

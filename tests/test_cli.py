@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +277,16 @@ class TestCounterexample:
         cert = json.loads((bundle / "certificate.json").read_text())
         assert cert["L"] == 0 and cert["v"] == []
 
+    def test_depth_and_depth_zero_flags_conflict(self, tmp_path, capsys):
+        sig = tmp_path / "ones.csv"
+        write_signal_csv(str(sig), Signal(np.ones(7)), RunConfig())
+        bundle = tmp_path / "out"
+        code = main(["counterexample", str(sig), "--n", "2", "--L", "3", "--L0",
+                     "--out", str(bundle)])
+        assert code == EXIT_INPUT
+        assert "--L and --L0" in capsys.readouterr().err
+        assert not bundle.exists()
+
     def test_exciting_input_is_input_error(self, tmp_path):
         sig = tmp_path / "g.csv"
         write_signal_csv(str(sig),
@@ -453,6 +465,59 @@ class TestRunConfigInput:
         assert captured.out == ""
         assert captured.err == "error: seed must be non-negative, got -1\n" * 2
         assert not out.exists()
+
+
+class TestParserReuse:
+    """One process reuses one parser; every run must behave as in a fresh process."""
+
+    RUNS = [
+        ["pe", EX1_INPUT, "--out", "{d}/pe.json"],
+        ["counterexample", EX1_INPUT, "--n", "2", "--L", "1", "--L0", "--out", "{d}/bad"],
+        ["counterexample", EX2_INPUT, "--n", "3", "--L", "1", "--out", "{d}/bundle"],
+        ["check", "{d}/bundle/system.json", "{d}/bundle/trajectory.csv", "--L", "1",
+         "--out", "{d}/check.json"],
+        ["universal", EX1_INPUT, "--n", "2", "--L", "1", "--out", "{d}/universal.json"],
+        ["cloud", EX3_INPUT, "--L", "2", "--samples", "8", "--seed", "4",
+         "--out", "{d}/cloud.csv"],
+        ["pe", EX2_INPUT, "--order", "4", "--rtol", "1e-6", "--out", "{d}/pe4.json"],
+    ]
+
+    @staticmethod
+    def _fresh(argv):
+        src = str(FIXTURES.parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        return subprocess.run([sys.executable, "-m", "peu.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_same_exits_and_files_as_fresh_processes(self, tmp_path):
+        outputs = {}
+        for name in ("shared", "fresh"):
+            d = tmp_path / name
+            d.mkdir()
+            runs = [[a.format(d=d) for a in argv] for argv in self.RUNS]
+            if name == "shared":
+                codes = [main(argv) for argv in runs]
+            else:
+                codes = [self._fresh(argv).returncode for argv in runs]
+            files = {str(p.relative_to(d)): p.read_bytes()
+                     for p in sorted(d.rglob("*")) if p.is_file()}
+            outputs[name] = codes, files
+        assert outputs["shared"][0] == [EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_FALSE, EXIT_FALSE,
+                                        EXIT_OK, EXIT_FALSE]
+        assert outputs["shared"] == outputs["fresh"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["counterexample", "--help"]])
+    def test_help_text_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # same wrap width with or without a terminal
+        main(["pe", EX1_INPUT, "--out", os.devnull])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(argv)
+        shared = capsys.readouterr().out
+        fresh = self._fresh(argv)
+        assert fresh.returncode == 0
+        assert shared == fresh.stdout
 
 
 class TestCertificateDeterminism:

@@ -15,6 +15,8 @@ Formats:
   ``certificate.json``) carries a ``config`` object with exactly the
   keys ``rtol``, ``tol_cert`` and ``seed``. The seed drives only the
   random draws of ``cloud`` and ``repro ex1``.
+- Every JSON file is exactly ``json.dumps(obj, indent=2,
+  sort_keys=True)`` plus a newline (``write_json``).
 
 Exit codes: 0 success/true, 2 input error (including unreadable or
 malformed files), 3 checked false, 4 numerical construction failure.
@@ -26,6 +28,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -182,8 +185,57 @@ def read_system_json(path) -> StateSpaceSystem:
     return sys_
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # no indent: runs json's C encoder
+_NUMBERS = frozenset((int, float))
+_ROWS = frozenset((list, tuple))
+
+
 def write_json(path, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write exactly ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+    _write_text(path, _indented(obj, "\n") + "\n")
+
+
+def _indented(obj, newline):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for an ``obj`` on the line ``newline`` opens.
+
+    ``newline`` is a line break and the indentation of that line. A list
+    of numbers, or a list of such lists, is formatted by one call to the
+    compact C encoder, and only its line breaks are laid out here:
+    numbers contain no ``,`` ``[`` or ``]``, so each of these in the
+    compact text is structure.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_COMPACT.encode(_key_text(key)) + ": " + _indented(value, inner)
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _COMPACT.encode(obj)
+    if not obj:
+        return "[]"
+    if _NUMBERS.issuperset(map(type, obj)):
+        body = _COMPACT.encode(obj)[1:-1].replace(",", "," + inner)
+    elif _ROWS.issuperset(map(type, obj)) and _NUMBERS.issuperset(
+            map(type, itertools.chain.from_iterable(obj))):
+        deeper = inner + "  "
+        rows = _COMPACT.encode(obj)[2:-2].replace(",", "," + deeper)
+        rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+        # "[" + deeper + inner + "]" arises from an empty row only
+        body = ("[" + deeper + rows + inner + "]").replace("[" + deeper + inner + "]", "[]")
+    else:
+        body = ("," + inner).join([_indented(value, inner) for value in obj])
+    return "[" + inner + body + newline + "]"
+
+
+def _key_text(key):
+    """A dict key as json writes it: str kept, float/int/bool/None as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _COMPACT.encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write_text(path, text):

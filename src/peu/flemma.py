@@ -91,15 +91,15 @@ def check_rank_condition(u: Signal, x: Signal, L, n, rtol=RTOL) -> RankReport:
     return rank_report(M, rtol)
 
 
-def _reconstruct_state(sys: StateSpaceSystem, u: Signal, y: Signal, rtol):
+def _reconstruct_state(sys: StateSpaceSystem, u: Signal, y: Signal):
     """Least-squares initial state consistent with (u, y); raises when none fits."""
     T = u.length
     O = observability_matrix(sys.C, sys.A, T)
-    G = markov_toeplitz(sys, T)
-    rhs = stack(y) - G @ stack(u)
+    forced = markov_toeplitz(sys, T) @ stack(u)
+    rhs = stack(y) - forced
     x0, *_ = np.linalg.lstsq(O, rhs, rcond=None)
     residual = float(np.linalg.norm(O @ x0 - rhs))
-    scale = 1.0 + float(np.linalg.norm(stack(y))) + float(np.linalg.norm(G @ stack(u)))
+    scale = 1.0 + float(np.linalg.norm(stack(y))) + float(np.linalg.norm(forced))
     if residual > 1e-6 * scale:
         raise NotATrajectoryError(
             f"(u, y) is not a trajectory of the system: output residual {residual:.3e} "
@@ -128,7 +128,7 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
 
-    x0 = _reconstruct_state(sys, u, y, rtol)
+    x0 = _reconstruct_state(sys, u, y)
     x = simulate(sys, x0, u).x
     rank_cond = check_rank_condition(u, Signal(x.samples[: u.length - L + 1]), L, sys.n, rtol)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .defaults import RTOL
 from .errors import ValidationError
@@ -179,6 +180,11 @@ def markov_toeplitz(sys: StateSpaceSystem, L) -> np.ndarray:
 
     Block (i, j) is D on the diagonal and CA^(i-j-1)B below it; maps a
     stacked input window to the forced part of the output window.
+
+    Block row i is the L-block window of W = [M_{L-1}, ..., M_1, M_0,
+    0, ..., 0] (M_k the k-th Markov parameter, then L-1 zero blocks)
+    that starts at block L-1-i. The result is one copy out of a
+    sliding-window view of W, so it is the only array of its size made.
     """
     p, m = sys.p, sys.m
     markov = [sys.D]
@@ -186,11 +192,9 @@ def markov_toeplitz(sys: StateSpaceSystem, L) -> np.ndarray:
     for _ in range(L - 1):
         power = sys.B if power is None else sys.A @ power
         markov.append(sys.C @ power)
-    T = np.zeros((L * p, L * m))
-    for i in range(L):
-        for j in range(i + 1):
-            T[i * p:(i + 1) * p, j * m:(j + 1) * m] = markov[i - j]
-    return T
+    W = np.hstack([*reversed(markov), np.zeros((p, (L - 1) * m))])
+    windows = sliding_window_view(W, L * m, axis=1)[:, ::-m]  # (p, L, Lm): [:, i] is block row i
+    return windows.transpose(1, 0, 2).copy().reshape(L * p, L * m)
 
 
 def behavior_basis(sys: StateSpaceSystem, L, rtol=RTOL) -> BehaviorBasis:

@@ -164,3 +164,26 @@ def closed_form_states_loop(A, zeta, eta, E_desc, u_data, n, m, L):
             acc -= E_at(i - t) @ u_data[i + s]
         out[t + s] = acc
     return out
+
+
+# -- block-by-block fill of the Markov Toeplitz -------------------------------
+
+
+def markov_toeplitz_loop(sys, L):
+    """Lower block-triangular Toeplitz of D, CB, CAB, ... filled block by block.
+
+    The same Markov parameters, computed by the same products, are
+    written one (i, j) block at a time; the library's one-copy fill must
+    agree entry for entry.
+    """
+    p, m = sys.p, sys.m
+    markov = [sys.D]
+    power = None
+    for _ in range(L - 1):
+        power = sys.B if power is None else sys.A @ power
+        markov.append(sys.C @ power)
+    T = np.zeros((L * p, L * m))
+    for i in range(L):
+        for j in range(i + 1):
+            T[i * p:(i + 1) * p, j * m:(j + 1) * m] = markov[i - j]
+    return T

@@ -1,10 +1,14 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peu import Signal, construct_certificate, simulate
 from peu.cli import (
@@ -18,6 +22,7 @@ from peu.cli import (
     read_system_json,
     read_trajectory_csv,
     write_signal_csv,
+    write_json,
     write_trajectory_csv,
 )
 
@@ -33,6 +38,40 @@ EX3_INPUT = str(FIXTURES / "ex3_input.csv")
 def write_zero_signal(path, T=6, m=1):
     cfg = RunConfig()
     write_signal_csv(str(path), Signal(np.zeros((T, m))), cfg)
+
+
+def json_text(obj):
+    """What ``write_json`` writes to stdout for ``obj``."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        write_json("-", obj)
+    return buf.getvalue()
+
+
+_NUMBERS = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 2.0**53 + 2]),
+    st.integers(),
+    st.integers(2**53 + 1, 2**80),
+)
+_FLAGS = st.sampled_from([True, False, 1, 0, 1.0, 0.0, None])
+_TEXT = st.one_of(st.text(), st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f",
+                                              "caf\u00e9 \u2713 \U0001f600 \u0394t", "1],[2,3"]))
+_ROW = st.lists(_NUMBERS, max_size=6) | st.lists(_NUMBERS, max_size=6).map(tuple)
+_ARRAYS = st.one_of(
+    _ROW,
+    st.lists(_ROW, max_size=5),  # ragged rows, empty rows, lists of empty lists
+    st.lists(st.lists(_ROW, max_size=3), max_size=3),  # 3-deep
+    # True/False next to 1/0, None, and strings holding commas and brackets
+    st.lists(st.one_of(_NUMBERS, _FLAGS, _TEXT), max_size=6),
+    st.lists(st.lists(st.one_of(_NUMBERS, _FLAGS, _TEXT), max_size=4), max_size=4),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(_NUMBERS, _FLAGS, _TEXT, _ARRAYS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
 
 
 class TestFormats:
@@ -83,6 +122,27 @@ class TestFormats:
     def test_directory_as_signal_is_input_error(self, tmp_path, capsys):
         assert main(["pe", str(tmp_path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(obj=JSON_VALUES)
+    def test_write_json_is_indented_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {2: [1.5], 10: {}, -1: None},
+        {0.5: 1, -0.0: 2, math.inf: [[]], math.nan: 3},
+        {True: "t", False: "f"},
+        {None: [[1, 2], [3]]},
+    ])
+    def test_write_json_non_string_keys(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def test_write_json_rejects_what_json_rejects(self):
+        for obj in ({(1, 2): 0}, [[1, 2], [3, np.int64(4)]], {"a": object()}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2, sort_keys=True)
+            with pytest.raises(TypeError):
+                json_text(obj)
 
     def test_malformed_signal(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from peu import (
     Signal,
@@ -14,6 +17,7 @@ from peu.lti import controllability_matrix, markov_toeplitz, observability_matri
 from peu.signals import stack
 
 from conftest import random_controllable_system
+from oracles import markov_toeplitz_loop
 
 
 class TestStateSpaceSystem:
@@ -120,6 +124,42 @@ class TestControllability:
                 controllability_matrix(A, B)
             with pytest.raises(ValidationError):
                 StateSpaceSystem.from_state_pair(A, B)
+
+
+def _random_system(seed, n, m, p):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    return StateSpaceSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)),
+                            rng.standard_normal((p, m)))
+
+
+class TestMarkovToeplitz:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 3), p=st.integers(1, 3), L=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, m=1, p=1, L=1, seed=0)
+    @example(n=3, m=1, p=1, L=9, seed=1)
+    @example(n=2, m=3, p=2, L=1, seed=2)
+    def test_matches_block_loop(self, n, m, p, L, seed):
+        sys = _random_system(seed, n, m, p)
+        assert np.all(sys.D != 0)  # the diagonal blocks are not left at zero by chance
+        T = markov_toeplitz(sys, L)
+        np.testing.assert_array_equal(T, markov_toeplitz_loop(sys, L))
+        assert T.shape == (L * p, L * m) and T.flags.c_contiguous and T.flags.writeable
+
+    def test_fill_allocates_only_the_result(self):
+        # beyond the result, only O(L p m) memory: the Markov parameters and
+        # their zero-padded row; a second array of the result's size fails
+        n, m, p, L = 4, 2, 3, 300
+        sys = _random_system(3, n, m, p)
+        tracemalloc.start()
+        try:
+            T = markov_toeplitz(sys, L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = peak - T.nbytes
+        assert 0 <= extra <= 32 * (L * p * m * T.itemsize) < T.nbytes // 2
 
 
 class TestBehaviorBasis:

@@ -17,6 +17,7 @@ a dense single-input family where the user picks (A, B).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -40,7 +41,7 @@ from .numkit import (
     lambda_set,
     rank_report,
     kernel_basis,
-    stacked_ranks,
+    stacked_deficient,
 )
 from .signals import Signal, as_signal, hankel, stack
 
@@ -152,14 +153,23 @@ class CloudPoint:
 
 @dataclass(frozen=True)
 class CloudResult:
-    points: tuple
+    """A cloud as columns: point i is (a[i], b[i], x0[i], verified[i]), b (N, m)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    x0: np.ndarray
+    verified: np.ndarray
     n_skipped: int
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        """The points as ``CloudPoint`` objects, built on first access."""
+        return tuple(map(CloudPoint, self.a.tolist(), self.b, self.x0.tolist(),
+                         self.verified.tolist()))
 
     @property
     def verified_fraction(self) -> float:
-        if not self.points:
-            return 0.0
-        return sum(p.verified for p in self.points) / len(self.points)
+        return float(self.verified.mean()) if self.verified.size else 0.0
 
 
 _CLOUD_BLOCK = 256  # points per batch in sample_system_cloud; bounds its memory
@@ -644,11 +654,11 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     The kept samples are handled in fixed blocks of points: one block
     runs the recursion and the state steps as array operations, with the
     same floating-point operations per point as one point at a time, and
-    ``stacked_ranks`` decides all of its rank checks in one batched SVD.
-    Blocking bounds the memory of a large cloud.
+    ``stacked_deficient`` decides its rank checks by projecting each
+    state row onto the row space of H_L(u). Blocking bounds the memory
+    of a large cloud. The result holds the points as columns.
     """
     u = as_signal(u)
-    n = 1
     m, T, k = u.dim, u.length, 1 + L
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
@@ -662,9 +672,8 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
     kept = pairs[~((pairs[:, 1] == 0.0) | lam.contains(pairs[:, 0]))]
     Hu = hankel(u, L)
-    stack = np.empty((min(len(kept), _CLOUD_BLOCK), L * m + 1, T - L + 1))
-    stack[:, :-1, :] = Hu
-    points = []
+    b_all, x0_all = np.empty((len(kept), m)), np.zeros(len(kept))
+    verified = np.empty(len(kept), dtype=bool)
     for start in range(0, len(kept), _CLOUD_BLOCK):
         a, zeta_s = kept[start:start + _CLOUD_BLOCK].T
         N = a.size
@@ -672,17 +681,17 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
         rows = [np.zeros((N, m))]
         for i in range(k - 1, -1, -1):
             rows.append(a[:, None] * rows[-1] + zeta_s[:, None] * eta[i])
-        b = rows[-1]  # E_{-1}
+        b = b_all[start:start + N] = rows[-1]  # E_{-1}
         # np.vecdot gives each C-contiguous row the bits of the 1-D ``row @ u[t]``;
         # a matrix-vector ``E @ u[t]`` and einsum round differently for m >= 2
-        x0 = np.zeros(N)
+        x0 = x0_all[start:start + N]
         for i in range(k - 1):
             x0 -= np.vecdot(rows[k - 1 - i], u.samples[i])  # rows[k-1-i] = E_i
-        x = stack[:N, -1, :]
+        x = np.empty((N, T - L + 1))
         x[:, 0] = x0
         for t in range(T - L):
             x[:, t + 1] = a * x[:, t] + np.vecdot(b, u.samples[t])
-        verified = stacked_ranks(stack[:N], rtol) < n + L * m
-        points += [CloudPoint(a=float(a[j]), b=b[j].copy(), x0=float(x0[j]),
-                              verified=bool(verified[j])) for j in range(N)]
-    return CloudResult(points=tuple(points), n_skipped=len(pairs) - len(kept))
+        verified[start:start + N] = stacked_deficient(Hu, x, rtol)
+    b_all = as_matrix(b_all, "b")  # refuses a non-finite b, which x(0) alone hides at T = L
+    return CloudResult(a=kept[:, 0].copy(), b=b_all, x0=x0_all, verified=verified,
+                       n_skipped=len(pairs) - len(kept))

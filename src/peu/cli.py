@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import os
@@ -99,12 +98,8 @@ def read_signal_csv(path) -> Signal:
 
 
 def write_signal_csv(path, v: Signal, config: RunConfig):
-    buf = io.StringIO()
-    buf.write(config.comment_line() + "\n")
-    buf.write("t," + ",".join(f"u{j + 1}" for j in range(v.dim)) + "\n")
-    for t in range(v.length):
-        buf.write(str(t) + "," + ",".join(repr(float(x)) for x in v.samples[t]) + "\n")
-    _write_text(path, buf.getvalue())
+    _write_csv(path, config.comment_line(), ["t"] + [f"u{j + 1}" for j in range(v.dim)],
+               (f"{t},{row}\n" for t, row in enumerate(_row_texts(v.samples.tolist()))))
 
 
 def write_trajectory_csv(path, u: Signal, x: Signal, y: Signal, config: RunConfig):
@@ -112,19 +107,16 @@ def write_trajectory_csv(path, u: Signal, x: Signal, y: Signal, config: RunConfi
     T = u.length
     if x.length != T + 1 or y.length != T:
         raise ValidationError("trajectory signals must have lengths T, T+1, T")
-    names = (["t"] + [f"u{j + 1}" for j in range(u.dim)]
-             + [f"x{j + 1}" for j in range(x.dim)]
-             + [f"y{j + 1}" for j in range(y.dim)])
-    buf = io.StringIO()
-    buf.write(config.comment_line() + "\n")
-    buf.write(",".join(names) + "\n")
-    for t in range(T + 1):
-        cells = [str(t)]
-        cells += [repr(float(v)) for v in u.samples[t]] if t < T else [""] * u.dim
-        cells += [repr(float(v)) for v in x.samples[t]]
-        cells += [repr(float(v)) for v in y.samples[t]] if t < T else [""] * y.dim
-        buf.write(",".join(cells) + "\n")
-    _write_text(path, buf.getvalue())
+    names = ["t"] + [f"{s}{j + 1}" for s, v in zip("uxy", (u, x, y)) for j in range(v.dim)]
+    rows = _row_texts(np.hstack([u.samples, x.samples[:T], y.samples]).tolist())
+    rows.append(",".join([*[""] * u.dim, *_row_texts(x.samples[T:].tolist()), *[""] * y.dim]))
+    _write_csv(path, config.comment_line(), names,
+               (f"{t},{row}\n" for t, row in enumerate(rows)))
+
+
+def _write_csv(path, comment, names, lines):
+    """Write the comment line, the header row ``names`` and ``lines``, each ending in ``\\n``."""
+    _write_text(path, comment + "\n" + ",".join(names) + "\n" + "".join(lines))
 
 
 def read_trajectory_csv(path):
@@ -220,13 +212,21 @@ def _indented(obj, newline):
     elif _ROWS.issuperset(map(type, obj)) and _NUMBERS.issuperset(
             map(type, itertools.chain.from_iterable(obj))):
         deeper = inner + "  "
-        rows = _COMPACT.encode(obj)[2:-2].replace(",", "," + deeper)
-        rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-        # "[" + deeper + inner + "]" arises from an empty row only
-        body = ("[" + deeper + rows + inner + "]").replace("[" + deeper + inner + "]", "[]")
+        body = ("," + inner).join("[" + deeper + row.replace(",", "," + deeper) + inner + "]"
+                                  if row else "[]" for row in _row_texts(obj))
     else:
         body = ("," + inner).join([_indented(value, inner) for value in obj])
     return "[" + inner + body + newline + "]"
+
+
+def _row_texts(rows):
+    """Each of ``rows``, lists of numbers, as its compact JSON text without brackets.
+
+    One call to json's C encoder formats them all. For floats that text
+    is ``",".join(map(repr, row))``: json writes a finite float as
+    ``float.__repr__`` does, and no number contains ``],[``.
+    """
+    return _COMPACT.encode(rows)[2:-2].split("],[")[:len(rows)]
 
 
 def _key_text(key):
@@ -372,20 +372,16 @@ def cmd_cloud(args) -> int:
     if args.samples < 0:
         raise ValidationError("--samples must be non-negative")
     rng = np.random.default_rng(cfg.seed)
-    pairs = np.empty((args.samples, 2))
-    pairs[:, 0] = rng.uniform(a_lo, a_hi, size=args.samples)
+    a = rng.uniform(a_lo, a_hi, size=args.samples)
     z = rng.uniform(z_lo, z_hi, size=args.samples)
     while np.any(z == 0.0):
         z[z == 0.0] = rng.uniform(z_lo, z_hi, size=int(np.sum(z == 0.0)))
-    pairs[:, 1] = z
-    result = adversary.sample_system_cloud(u, args.L, pairs, rtol=cfg.rtol)
-    buf = io.StringIO()
-    buf.write(cfg.comment_line() + f" skipped={result.n_skipped}\n")
-    buf.write("a," + ",".join(f"b{j + 1}" for j in range(u.dim)) + ",x0,verified\n")
-    for pt in result.points:
-        buf.write(",".join(map(repr, [pt.a, *pt.b.tolist(), pt.x0]))
-                  + (",1\n" if pt.verified else ",0\n"))
-    _write_text(args.out, buf.getvalue())
+    result = adversary.sample_system_cloud(u, args.L, np.column_stack([a, z]), rtol=cfg.rtol)
+    rows = _row_texts(np.column_stack([result.a, result.b, result.x0]).tolist())
+    flags = [",1\n" if ok else ",0\n" for ok in result.verified.tolist()]
+    _write_csv(args.out, cfg.comment_line() + f" skipped={result.n_skipped}",
+               ["a"] + [f"b{j + 1}" for j in range(u.dim)] + ["x0", "verified"],
+               map(str.__add__, rows, flags))
     return EXIT_OK
 
 
@@ -563,10 +559,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except ConstructionError as exc:

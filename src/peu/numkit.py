@@ -3,12 +3,13 @@
 Matrices are plain 2-D float64 numpy arrays, validated on entry (finite
 entries only). Every single rank decision in the package flows through
 ``rank_report`` so that each claim carries its singular values and the
-tolerance that produced it; ``stacked_ranks`` decides a whole stack of
-matrices at once by the same rule and returns the ranks only. One
-tolerance rule serves ``rank_report``, ``stacked_ranks`` and
-``kernel_basis``: a singular value counts as nonzero when it exceeds
-``rtol * max(rows, cols) * sigma_max`` (plain ``rtol`` when sigma_max is
-0), which ``rank_report`` may raise to an absolute floor ``atol``.
+tolerance that produced it; ``stacked_deficient`` decides stacks [M; x]
+that share M from one SVD of M and never calls a stack deficient that
+``rank_report`` calls full. One tolerance rule serves ``rank_report``,
+``stacked_deficient`` and ``kernel_basis``: a singular value counts as
+nonzero when it exceeds ``rtol * max(rows, cols) * sigma_max`` (plain
+``rtol`` when sigma_max is 0), which ``rank_report`` may raise to an
+absolute floor ``atol``.
 ``kernel_basis`` keeps the SVD's order, so its last column is the
 best-annihilating unit vector: one call both decides whether a kernel
 exists and supplies that vector. Every SVD goes through ``_svd``, which
@@ -32,7 +33,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "rank_report",
-    "stacked_ranks",
+    "stacked_deficient",
     "kernel_basis",
     "lambda_set",
 ]
@@ -141,10 +142,7 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
     if atol < 0:
         raise ValidationError("atol must be non-negative")
     rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        s = np.zeros(0)
-    else:
-        s = _svd(A, compute_uv=False)
+    s = _svd(A, compute_uv=False)
     tol = max(_tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol), atol)
     rank = int(np.sum(s > tol))
     return RankReport(
@@ -157,26 +155,29 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
     )
 
 
-def stacked_ranks(M, rtol=RTOL):
-    """Ranks of a stack of matrices, decided as ``rank_report`` decides them.
+def stacked_deficient(M, X, rtol=RTOL):
+    """Whether each stack [M; x], x a row of X (as wide as M), lacks full row rank.
 
-    Args:
-        M: (N, rows, cols) array of N matrices with finite entries.
-        rtol: relative tolerance; must be positive and finite.
-
-    Returns:
-        (N,) integer array; entry i equals ``rank_report(M[i], rtol).rank``.
-        One batched SVD serves the whole stack, and no reports are built.
+    Returns an (N,) bool array for the N rows of X. One SVD of M gives
+    its rank r under ``rank_report``'s rule and an orthonormal basis Q of
+    its row space. A stack is deficient when r < rows, or when
+    ``||x - (x Q) Q^T|| <= rtol * max(rows + 1, cols) * max(sigma_max(M),
+    ||x||)`` (plain ``rtol`` where both are 0). Either way the stack's
+    (rows+1)-th singular value is at most ``rank_report``'s tolerance for
+    it (by interlacing, or by Weyl's inequality), so ``rank_report``
+    finds every stack decided deficient here deficient.
     """
-    S = np.asarray(M, dtype=float)
-    if S.ndim != 3:
-        raise ValidationError(f"stack must be 3-D, got ndim={S.ndim}")
-    if S.size and not np.all(np.isfinite(S)):
-        raise ValidationError("matrix contains non-finite entries")
+    A, S = as_matrix(M), as_matrix(X)
     _check_rtol(rtol)
-    s = _svd(S, compute_uv=False)
-    smax = s[:, 0] if s.shape[1] else np.zeros(len(s))
-    return np.sum(s > _tolerance(smax, S.shape[1:], rtol)[:, None], axis=1)
+    rows, cols = A.shape
+    _, s, vh = _svd(A, full_matrices=False)
+    smax = float(s[0]) if s.size else 0.0
+    if np.sum(s > _tolerance(smax, A.shape, rtol)) < rows:
+        return np.ones(len(S), dtype=bool)
+    c = np.maximum(np.abs(S).max(axis=1, initial=smax), np.finfo(float).tiny)[:, None]
+    S = S / c  # scaled by max(sigma_max(M), max |x_j|): no square in a norm over- or underflows
+    tol = _tolerance(np.maximum(smax / c[:, 0], np.linalg.norm(S, axis=1)), (rows + 1, cols), rtol)
+    return np.linalg.norm(S - S @ vh.T @ vh, axis=1) <= tol
 
 
 def kernel_basis(M, rtol=RTOL):
@@ -190,11 +191,8 @@ def kernel_basis(M, rtol=RTOL):
     """
     A = as_matrix(M)
     _check_rtol(rtol)
-    rows, cols = A.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols)
-    _, s, vh = _svd(A, full_matrices=True)
-    rank = int(np.sum(s > _tolerance(float(s[0]), A.shape, rtol)))
+    _, s, vh = _svd(A, full_matrices=True)  # vh is the identity where A has no entries
+    rank = int(np.sum(s > _tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol)))
     return vh[rank:].T.copy()
 
 

@@ -187,3 +187,30 @@ def markov_toeplitz_loop(sys, L):
         for j in range(i + 1):
             T[i * p:(i + 1) * p, j * m:(j + 1) * m] = markov[i - j]
     return T
+
+
+# -- CSV rows written one cell at a time ----------------------------------------
+
+
+def signal_csv_loop(v, config):
+    """Signal CSV text with every cell formatted by ``repr(float(x))``, row by row."""
+    lines = [config.comment_line(), "t," + ",".join(f"u{j + 1}" for j in range(v.dim))]
+    for t in range(v.length):
+        lines.append(str(t) + "," + ",".join(repr(float(x)) for x in v.samples[t]))
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_csv_loop(u, x, y, config):
+    """Trajectory CSV text cell by cell; the last row has empty u and y cells."""
+    T = u.length
+    names = (["t"] + [f"u{j + 1}" for j in range(u.dim)]
+             + [f"x{j + 1}" for j in range(x.dim)]
+             + [f"y{j + 1}" for j in range(y.dim)])
+    lines = [config.comment_line(), ",".join(names)]
+    for t in range(T + 1):
+        cells = [str(t)]
+        cells += [repr(float(v)) for v in u.samples[t]] if t < T else [""] * u.dim
+        cells += [repr(float(v)) for v in x.samples[t]]
+        cells += [repr(float(v)) for v in y.samples[t]] if t < T else [""] * y.dim
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -454,6 +454,12 @@ class TestSampleSystemCloud:
             with pytest.raises(ValidationError, match="non-finite"):
                 sample_system_cloud(Signal(np.ones(12)), 2, [[1e40, 1.0]])
 
+    def test_non_finite_b_rejected(self):
+        # T = L: the only state x(0) stays finite while b = a * E_0 + ... overflows
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="b contains non-finite entries"):
+                sample_system_cloud(Signal(np.ones(1)), 1, [[1e200, 1e200]])
+
     def test_red_dot_membership(self, ex3_input, ex3_reddot):
         u = Signal(ex3_input)
         a, L = ex3_reddot["a"], ex3_reddot["L"]

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peu import Signal, construct_certificate, simulate
 from peu.cli import (
@@ -17,6 +17,7 @@ from peu.cli import (
     EXIT_INPUT,
     EXIT_OK,
     RunConfig,
+    _row_texts,
     main,
     read_signal_csv,
     read_system_json,
@@ -27,6 +28,7 @@ from peu.cli import (
 )
 
 from conftest import FIXTURES
+from oracles import signal_csv_loop, trajectory_csv_loop
 
 
 EX1_SYSTEM = str(FIXTURES / "ex1_system.json")
@@ -40,12 +42,17 @@ def write_zero_signal(path, T=6, m=1):
     write_signal_csv(str(path), Signal(np.zeros((T, m))), cfg)
 
 
-def json_text(obj):
-    """What ``write_json`` writes to stdout for ``obj``."""
+def stdout_text(write, *args):
+    """What ``write(*args)`` writes to stdout, given ``"-"`` as its path."""
     buf = io.StringIO()
     with redirect_stdout(buf):
-        write_json("-", obj)
+        write("-", *args)
     return buf.getvalue()
+
+
+def json_text(obj):
+    """What ``write_json`` writes to stdout for ``obj``."""
+    return stdout_text(write_json, obj)
 
 
 _NUMBERS = st.one_of(
@@ -66,6 +73,12 @@ _ARRAYS = st.one_of(
     st.lists(st.one_of(_NUMBERS, _FLAGS, _TEXT), max_size=6),
     st.lists(st.lists(st.one_of(_NUMBERS, _FLAGS, _TEXT), max_size=4), max_size=4),
 )
+# finite floats: -0.0, the smallest subnormal, subnormals such as `peu cloud
+# --ranges=-1,1,1e-320,1e-320` emits, exponent switch points and integers above 2**53
+_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-320, -1e-320, 1e16, 1e22, 1e-5, 2.0**53 + 2, -(2.0**64), 1.0, 0.1])
+TABLES = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(_CELLS, min_size=cols, max_size=cols), min_size=1, max_size=6))
 JSON_VALUES = st.recursive(
     st.one_of(_NUMBERS, _FLAGS, _TEXT, _ARRAYS),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
@@ -127,6 +140,27 @@ class TestFormats:
     @given(obj=JSON_VALUES)
     def test_write_json_is_indented_dumps(self, obj):
         assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=TABLES)
+    @example(rows=[[-0.0, 5e-324, 1e-320]])  # one row
+    @example(rows=[[1e16], [1e22], [1e-5], [2.0**53 + 2]])  # one column
+    @example(rows=[[0.5, -0.0, 1e-320], [1e22, 5e-324, -(2.0**64)], [1.0, 2.0, 3.0]])  # m = 3
+    def test_csv_rows_are_repr_cells(self, rows):
+        table = np.array(rows)
+        assert _row_texts(table.tolist()) == [",".join(map(repr, row)) for row in rows]
+        cfg = RunConfig(seed=3)
+        v = Signal(table)
+        assert stdout_text(write_signal_csv, v, cfg) == signal_csv_loop(v, cfg)
+        if len(rows) > 1:
+            u, x, y = Signal(table[:-1]), Signal(table[:, ::-1]), Signal(table[1:, :1])
+            assert (stdout_text(write_trajectory_csv, u, x, y, cfg)
+                    == trajectory_csv_loop(u, x, y, cfg))
+
+    def test_csv_rows_of_empty_table(self):
+        # "[]"[2:-2].split("],[") alone would give one empty row
+        assert _row_texts([]) == [] and _row_texts(np.empty((0, 3)).tolist()) == []
+        assert _row_texts([[], []]) == ["", ""]
 
     @pytest.mark.parametrize("obj", [
         {2: [1.5], 10: {}, -1: None},
@@ -398,6 +432,21 @@ class TestCloud:
                      "--out", str(out)]) == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2  # config comment + header only
+
+    @pytest.mark.parametrize("argv, skipped, header", [
+        (["--L", "2", "--samples", "0"], 0, "a,b1,b2,x0,verified"),
+        # 1 is the kernel polynomial's root for an all-ones input: every pair is skipped
+        (["--L", "1", "--samples", "5", "--ranges=1,1,1,1"], 5, "a,b1,x0,verified"),
+    ], ids=["no-samples", "all-skipped"])
+    def test_empty_cloud_bytes(self, tmp_path, argv, skipped, header):
+        signal = EX3_INPUT
+        if skipped:
+            signal = str(tmp_path / "ones.csv")
+            write_signal_csv(signal, Signal(np.ones(6)), RunConfig())
+        out = tmp_path / "points.csv"
+        assert main(["cloud", signal, *argv, "--out", str(out)]) == EXIT_OK
+        comment = RunConfig().comment_line()
+        assert out.read_text() == f"{comment} skipped={skipped}\n{header}\n"
 
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,7 +9,7 @@ from peu import (
     lambda_set,
     rank_report,
 )
-from peu.numkit import stacked_ranks
+from peu.numkit import stacked_deficient
 from peu.signals import Signal, hankel
 
 from oracles import exact_rank, expand_from_roots
@@ -69,52 +69,110 @@ class TestRankReport:
             assert rank_report(M).rank == exact_rank(M)
 
 
-class TestStackedRanks:
+class TestStackedDeficient:
     @staticmethod
-    def random_stack(rng, N, r, c):
-        """N random r x c matrices: full rank, rank-deficient, all-zero and tiny-scaled."""
-        M = rng.standard_normal((N, r, c))
-        for i in range(N):
-            kind = i % 4
-            if kind == 1:  # rank k < min(r, c)
-                k = int(rng.integers(0, min(r, c)))
-                M[i] = rng.standard_normal((r, k)) @ rng.standard_normal((k, c))
-            elif kind == 2:
-                M[i] = 0.0
-            elif kind == 3:
-                M[i] *= 1e-12
-        return M
+    def random_case(rng, r, c, N=24):
+        """A random r x c matrix M (full rank, deficient, zero or tiny) and N rows to stack on it.
 
-    def test_matches_rank_report(self):
+        The rows mix random vectors, vectors in M's row space, tiny and zero rows.
+        """
+        M = rng.standard_normal((r, c))
+        kind = int(rng.integers(4))
+        if kind == 1:
+            k = int(rng.integers(0, min(r, c)))
+            M = rng.standard_normal((r, k)) @ rng.standard_normal((k, c))
+        elif kind == 2:
+            M[:] = 0.0
+        elif kind == 3:
+            M *= 1e-12
+        X = rng.standard_normal((N, c))
+        X[1::4] = rng.standard_normal((len(X[1::4]), r)) @ M
+        X[2::4] *= 1e-12
+        X[3::8] = 0.0
+        return M, X
+
+    @staticmethod
+    def stack_rank(M, x, rtol=RTOL):
+        return rank_report(np.vstack([M, x]), rtol).rank
+
+    def test_agrees_with_rank_report(self):
+        # one-sided: a row decided deficient never has a full-rank stack; rows in
+        # M's row space and zero rows are always decided deficient
         rng = np.random.default_rng(41)
-        for r, c in [(1, 1), (3, 4), (4, 3), (5, 5), (7, 1), (1, 6), (10, 14)]:
-            M = self.random_stack(rng, 24, r, c)
+        decided = {True: 0, False: 0}
+        for r, c in [(1, 1), (3, 4), (4, 3), (5, 5), (7, 1), (1, 6), (4, 9), (10, 14)]:
             for rtol in (RTOL, 1e-3):
-                ranks = stacked_ranks(M, rtol)
-                assert ranks.shape == (24,)
-                assert ranks.tolist() == [rank_report(Mi, rtol).rank for Mi in M]
+                for _ in range(6):
+                    M, X = self.random_case(rng, r, c)
+                    flags = stacked_deficient(M, X, rtol)
+                    assert flags.shape == (len(X),) and flags.dtype == bool
+                    assert flags[1::4].all() and flags[3::8].all()
+                    for x, flag in zip(X, flags):
+                        decided[bool(flag)] += 1
+                        if flag:
+                            assert self.stack_rank(M, x, rtol) <= r
+        assert min(decided.values()) > 100  # both answers are exercised
 
     def test_near_tolerance(self):
-        # singular values just above and just below rank_report's tolerance
-        tol = RTOL * 3
-        M = np.array([np.diag([1.0, f * tol, 0.5]) for f in (0.99, 1.0, 1.01, 2.0)])
-        assert stacked_ranks(M).tolist() == [rank_report(Mi).rank for Mi in M] == [2, 2, 3, 3]
+        # rows 0.5x and 2x the tolerance off a full-rank M's row space
+        rng = np.random.default_rng(53)
+        for r, c in [(1, 3), (3, 5), (6, 7), (8, 20)]:
+            M = rng.standard_normal((r, c))
+            vh = np.linalg.svd(M)[2]
+            inside, normal = rng.standard_normal(r) @ M, vh[-1]
+            smax = np.linalg.norm(M, 2)
+            tol = RTOL * max(r + 1, c) * max(smax, np.linalg.norm(inside))
+            X = np.array([inside + f * tol * normal for f in (0.5, 2.0)])
+            assert stacked_deficient(M, X).tolist() == [True, False]
+            assert self.stack_rank(M, X[0]) <= r
 
-    def test_empty(self):
-        assert stacked_ranks(np.zeros((0, 3, 4))).shape == (0,)
-        assert stacked_ranks(np.zeros((2, 0, 3))).tolist() == [0, 0] == [
-            rank_report(np.zeros((0, 3))).rank] * 2
-        assert stacked_ranks(np.zeros((2, 3, 0))).tolist() == [0, 0]
+    def test_scale_invariant(self):
+        # no norm over- or underflows, so scaling M and X together changes no answer
+        rng = np.random.default_rng(71)
+        M = rng.standard_normal((3, 6))
+        normal = np.linalg.svd(M)[2][-1]
+        inside = rng.standard_normal((4, 3)) @ M
+        X = np.vstack([inside, inside + 1e-12 * normal, inside + 1e-6 * normal,
+                       rng.standard_normal((4, 6))])
+        flags = stacked_deficient(M, X)
+        assert flags.tolist() == [True] * 8 + [False] * 8
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for scale in (1e-300, 1e-170, 1e170, 1e300):
+                assert stacked_deficient(scale * M, scale * X).tolist() == flags.tolist()
+                assert stacked_deficient(M, scale * X[:1]).tolist() == [True]
+
+    def test_deficient_matrix_verifies_every_row(self):
+        rng = np.random.default_rng(61)
+        for r, c in [(3, 8), (5, 6), (2, 2)]:
+            M = rng.standard_normal((r, r - 1)) @ rng.standard_normal((r - 1, c))
+            X = rng.standard_normal((10, c))
+            assert stacked_deficient(M, X).all()
+            assert all(self.stack_rank(M, x) <= r for x in X)
+
+    def test_shapes(self):
+        rng = np.random.default_rng(67)
+        X = rng.standard_normal((5, 3))
+        # cols <= rows: a stack of rows + 1 > cols rows is always deficient
+        for M in (rng.standard_normal((3, 3)), rng.standard_normal((6, 3)), np.zeros((2, 3))):
+            assert stacked_deficient(M, X).tolist() == [True] * 5
+        # zero rows in M: the stack is x alone, deficient only where x = 0
+        X[2] = 0.0
+        assert stacked_deficient(np.zeros((0, 3)), X).tolist() == [i == 2 for i in range(5)] == [
+            self.stack_rank(np.zeros((0, 3)), x) < 1 for x in X]
+        # zero rows in X, and no columns at all
+        assert stacked_deficient(np.eye(3), np.zeros((0, 3))).shape == (0,)
+        assert stacked_deficient(np.zeros((2, 0)), np.zeros((4, 0))).tolist() == [True] * 4
+        assert stacked_deficient(np.zeros((0, 0)), np.zeros((1, 0))).tolist() == [True]
 
     def test_rejects(self):
-        M = np.ones((3, 2, 2))
-        M[1, 0, 1] = np.inf
-        with pytest.raises(ValidationError, match="matrix contains non-finite entries"):
-            stacked_ranks(M)
-        with pytest.raises(ValidationError, match="3-D"):
-            stacked_ranks(np.ones((2, 2)))
+        M, X = np.ones((2, 3)), np.ones((4, 3))
+        bad_M, bad_X = M.copy(), X.copy()
+        bad_M[1, 2] = bad_X[3, 0] = np.inf
+        for args in ((bad_M, X), (M, bad_X)):
+            with pytest.raises(ValidationError, match="matrix contains non-finite entries"):
+                stacked_deficient(*args)
         with pytest.raises(ValidationError, match="rtol"):
-            stacked_ranks(np.ones((1, 2, 2)), rtol=0.0)
+            stacked_deficient(M, X, rtol=0.0)
 
 
 class TestKernelBasis:
@@ -129,6 +187,11 @@ class TestKernelBasis:
         assert K.shape[1] >= 1
         eta = ex2_values["eta"].reshape(-1)
         assert np.linalg.norm(M @ eta) <= 1e-3 * np.linalg.norm(eta)
+
+    def test_no_entries(self):
+        # a 0-row M has every vector in its kernel; a 0-column M has no kernel
+        np.testing.assert_array_equal(kernel_basis(np.zeros((0, 3))), np.eye(3))
+        assert kernel_basis(np.zeros((3, 0))).shape == (0, 0)
 
     def test_all_ones(self):
         K = kernel_basis(np.ones((3, 3)))
@@ -153,9 +216,9 @@ class TestKernelBasis:
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-9])
 @pytest.mark.parametrize("decide", [
     rank_report,
-    lambda M, rtol: stacked_ranks(M[None], rtol),
+    lambda M, rtol: stacked_deficient(M, M, rtol),
     kernel_basis,
-], ids=["rank_report", "stacked_ranks", "kernel_basis"])
+], ids=["rank_report", "stacked_deficient", "kernel_basis"])
 def test_rtol_must_be_positive_and_finite(decide, rtol):
     # NaN fails every comparison, so a bare ``rtol <= 0`` test would let it
     # through and every singular value would count as zero
@@ -208,12 +271,14 @@ class TestSvdRetry:
         np.testing.assert_allclose(K.T @ K, np.eye(5), atol=1e-12)
         assert np.linalg.norm(M @ K) <= rep.tolerance_used * np.sqrt(8)
 
-    def test_stacked_ranks(self, monkeypatch):
-        M = TestStackedRanks.random_stack(np.random.default_rng(59), 24, 5, 3)
-        expected = stacked_ranks(M)
-        calls = self.fail_on(monkeypatch, (5, 3))
-        assert stacked_ranks(M).tolist() == expected.tolist()
-        assert calls == [(5, 3), (3, 5)]
+    def test_stacked_deficient(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        M = rng.standard_normal((3, 5))
+        X = np.vstack([rng.standard_normal((12, 5)), rng.standard_normal((12, 3)) @ M])
+        expected = stacked_deficient(M, X)
+        calls = self.fail_on(monkeypatch, (3, 5))
+        assert stacked_deficient(M, X).tolist() == expected.tolist() == [False] * 12 + [True] * 12
+        assert calls == [(3, 5), (5, 3)]
 
 
 class TestPolynomialRoots:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -63,22 +62,22 @@ class CounterexampleCertificate:
     """Full output of one counterexample construction, with its evidence.
 
     ``E`` holds the recursion matrices in descending index order
-    E_{n+L-1}, ..., E_{-1} (so ``E[-1]`` is B). ``eta`` and ``E`` are
-    None on the short-data branch (T < n+L-1), where a stock
-    controllable pair suffices because the state Hankel matrix cannot
-    have full row rank. The common roots that spec(A) avoids follow
-    from eta: ``numkit.lambda_set(cert.eta, cert.rtol)``. (v, w) is
-    stored scaled to unit w; xi keeps the raw Krylov solve.
+    E_{n+L-1}, ..., E_{-1} (so ``E[-1]`` is B). Every data length takes
+    the same construction; ``short_data_case`` marks T < n+L-1, where
+    the state Hankel matrix cannot have full row rank. The common roots
+    that spec(A) avoids follow from eta:
+    ``numkit.lambda_set(cert.eta, cert.rtol)``. (v, w) is stored scaled
+    to unit w; xi keeps the raw Krylov solve.
     """
 
     n: int
     m: int
     L: int
     T: int
-    eta: Optional[np.ndarray]      # (n+L, m), rows eta_0..eta_{n+L-1}
+    eta: np.ndarray                # (n+L, m), rows eta_0..eta_{n+L-1}
     A: np.ndarray
     zeta: np.ndarray
-    E: Optional[tuple]             # (E_{n+L-1}, ..., E_{-1}), each (n, m)
+    E: tuple                       # (E_{n+L-1}, ..., E_{-1}), each (n, m)
     B: np.ndarray
     x0: np.ndarray
     xi: np.ndarray
@@ -101,10 +100,10 @@ class CounterexampleCertificate:
         return {
             "n": self.n, "m": self.m, "L": self.L, "T": self.T,
             "short_data_case": self.short_data_case,
-            "eta": None if self.eta is None else self.eta.tolist(),
+            "eta": self.eta.tolist(),
             "A": self.A.tolist(),
             "zeta": self.zeta.tolist(),
-            "E": None if self.E is None else [Ei.tolist() for Ei in self.E],
+            "E": [Ei.tolist() for Ei in self.E],
             "B": self.B.tolist(),
             "x0": self.x0.tolist(),
             "xi": self.xi.tolist(),
@@ -216,6 +215,7 @@ def _recursion_and_state(A, zeta, eta, u_data, n, m, L):
     """Backward E recursion, B, x0 and the simulated state x(0)..x(T-L).
 
     Returns (E_desc, B, x0, states) with E in descending index order.
+    The x0 sum stops at the last sample: u is zero past T.
     """
     T = u_data.shape[0]
     k = n + L
@@ -225,7 +225,7 @@ def _recursion_and_state(A, zeta, eta, u_data, n, m, L):
     # E is now [E_{k-1}, E_{k-2}, ..., E_{-1}]
     B = E[-1]
     x0 = np.zeros(n)
-    for i in range(k - 1):
+    for i in range(min(k - 1, T)):
         x0 -= E[k - 1 - i] @ u_data[i]  # E[k-1-i] is E_i
     states = np.empty((T - L + 1, n))
     states[0] = x0
@@ -239,25 +239,28 @@ def _closed_form_states(A, zeta, eta, E_desc, u_data, n, m, L):
 
     Every state is x(t) = -sum_{i=0}^{k-2} E_i u(t+i) with u padded by
     n-1 zero samples, which truncates the window exactly where the
-    formula does for the final n-1 steps; those steps t = s+1..s+n-1
-    (s := T-L-n+1) also gain sum_{j<t-s} A^(t-s-1-j) zeta c_j, with
-    c_j = sum_{l=0}^{k-2-j} eta_l u(s+j+l). Both parts are products
-    with one depth-(k-1) Hankel matrix of the padded input. Replays the
-    induction behind the construction; simulation must agree to rounding.
+    formula does for the final r steps; those steps t = s+1..s+r
+    (s := max(T-L-n+1, 0) and r := T-L-s, which is n-1 unless
+    T < n+L-1) also gain sum_{j<t-s} A^(t-s-1-j) zeta c_j, with
+    c_j = sum_{l=0}^{k-2} eta_l u(s+j+l) over the samples that exist.
+    Both parts are products with one depth-(k-1) Hankel matrix of the
+    padded input. Replays the induction behind the construction;
+    simulation must agree to rounding.
     """
     T = u_data.shape[0]
     k = n + L
-    s = T - L - n + 1
+    s = max(T - L - n + 1, 0)
+    r = T - L - s
     if k == 1:
         return np.zeros((T - L + 1, n))
     H = hankel(np.vstack([u_data, np.zeros((n - 1, m))]), k - 1)
     G = np.hstack(E_desc[k - 1:0:-1])  # [E_0 ... E_{k-2}]; E_desc[k-1-i] is E_i
     out = -(G @ H).T
-    if n > 1:
-        c = eta[:k - 1].reshape(-1) @ H[:, s:s + n - 1]
-        lags = np.arange(n - 1)
+    if r:
+        c = eta[:k - 1].reshape(-1) @ H[:, s:s + r]
+        lags = np.arange(r)
         C = np.triu(c[np.abs(lags[None, :] - lags[:, None])])  # C[p, q] = c_{q-p}
-        out[s + 1:] += (_krylov(A, zeta, n - 1) @ C).T
+        out[s + 1:] += (_krylov(A, zeta, r) @ C).T
     return out
 
 
@@ -265,10 +268,6 @@ def _stacked_matrix(u: Signal, states, L):
     if L == 0:
         return hankel(Signal(states), 1)
     return np.vstack([hankel(u, L), hankel(Signal(states), 1)])
-
-
-def _annihilation_residual(v, w, stacked):
-    return float(np.abs(np.concatenate([v, w]) @ stacked).max())
 
 
 def _project_to_kernel(eta_flat, K):
@@ -297,9 +296,9 @@ def _kernel_vector(u, k, rtol, eta_override=None):
     is empty exactly when u is persistently exciting of order k, which
     is refused. Otherwise eta is K's last column, the best-annihilating
     unit vector, or ``eta_override`` snapped onto the span of K. With
-    T = k-1 the Hankel matrix has no columns, K is the identity and the
-    default is the last unit vector. Returns (eta as a (k, m) array,
-    max |eta^T H|, ``lambda_set`` of eta).
+    T < k the Hankel matrix has no columns, K is the identity and the
+    default is the last unit vector (``_certify`` passes e_1 instead).
+    Returns (eta as a (k, m) array, max |eta^T H|, ``lambda_set`` of eta).
     """
     T, m = u.length, u.dim
     H = hankel(u, k) if k <= T else np.zeros((k * m, 0))
@@ -323,15 +322,16 @@ def _kernel_vector(u, k, rtol, eta_override=None):
 
 
 def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
-    """Shared engine behind the L >= 1 and L = 0 constructions."""
-    k = n + L
-    if u.length < k - 1:
-        if not (eta_override is None and A_override is None and zeta_override is None):
-            raise ValidationError(
-                f"eta, A and zeta overrides need T >= n+L-1 = {k - 1} samples, "
-                f"got {u.length}: shorter data always uses the stock pair")
-        return _certify_short_data(u, n, L, rtol, tol_cert)
+    """Shared engine behind the L >= 1 and L = 0 constructions.
 
+    With T < n+L the depth-(n+L) Hankel matrix has no columns and every
+    eta is a kernel vector. The default there is e_1: it has no common
+    roots, so the scan takes lambda0 = 0, and the recursion gives
+    A = J(0), B = [e_n, 0, ..., 0] and x0 = 0.
+    """
+    k = n + L
+    if eta_override is None and u.length < k:
+        eta_override = np.eye(k * u.dim)[0]
     eta, eta_residual, lam = _kernel_vector(u, k, rtol, eta_override)
     if eta_override is None and eta_residual > tol_cert * float(np.linalg.norm(eta)):
         raise ConstructionError(
@@ -407,7 +407,7 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
     v = v_raw / norm_xi
 
     stacked = _stacked_matrix(u, states, L)
-    residual = _annihilation_residual(v, w, stacked)
+    residual = float(np.abs(np.concatenate([v, w]) @ stacked).max())
     budget = tol_cert * (1.0 + float(np.abs(states).max())) * (T - L + 1)
     if residual > budget:
         return f"annihilation residual {residual:.3e} exceeds {budget:.3e}"
@@ -428,7 +428,7 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
         eta=eta, A=A, zeta=zeta, E=E_desc, B=B, x0=x0, xi=xi, v=v, w=w,
         residual_annihilation=residual,
         rank_deficit_confirmed=True,
-        short_data_case=False,
+        short_data_case=T < n + L - 1,
         states=states,
         stacked_rank=srep,
         residuals={
@@ -437,45 +437,6 @@ def _try_build(u, n, L, A, zeta, eta, lam, eta_residual, rtol, tol_cert):
             "closed_form": closed_form_residual,
             "xi_orthogonality": xi_orth,
         },
-        rtol=rtol, tol_cert=tol_cert,
-    )
-
-
-def _certify_short_data(u, n, L, rtol, tol_cert):
-    """T < n+L-1: too few columns for the state Hankel matrix to have rank n.
-
-    A stock controllable pair suffices: nilpotent Jordan A and B carrying
-    the last basis vector e_n in its first column and zeros elsewhere.
-    The Kalman matrix of (A, e_n) is a permutation matrix, so the pair is
-    controllable for every n and m; the check below only confirms it.
-    """
-    m, T = u.dim, u.length
-    A = _jordan_block(0.0, n)
-    B = np.zeros((n, m))
-    B[-1, 0] = 1.0
-    zeta = B[:, 0].copy()
-    if not is_controllable(A, B, rtol)[0]:
-        raise ConstructionError("stock pair (J(0), e_n) is not controllable")
-    x0 = np.zeros(n)
-    states = simulate(StateSpaceSystem.from_state_pair(A, B), x0, u).x.samples[: T - L + 1]
-
-    K = kernel_basis(hankel(Signal(states), 1).T, rtol)
-    if K.shape[1] == 0:
-        raise ConstructionError("state Hankel matrix unexpectedly has full row rank")
-    w = K[:, 0]
-    v = np.zeros(L * m)
-    stacked = _stacked_matrix(u, states, L)
-    residual = _annihilation_residual(v, w, stacked)
-    srep = rank_report(stacked, rtol)
-    return CounterexampleCertificate(
-        n=n, m=m, L=L, T=T,
-        eta=None, A=A, zeta=zeta, E=None, B=B, x0=x0, xi=w, v=v, w=w,
-        residual_annihilation=residual,
-        rank_deficit_confirmed=srep.rank < n + L * m,
-        short_data_case=True,
-        states=states,
-        stacked_rank=srep,
-        residuals={"annihilation": residual},
         rtol=rtol, tol_cert=tol_cert,
     )
 
@@ -490,15 +451,15 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
     the last basis vector; then the last row of B is eta(lambda0)^T, so
     (A, B) is controllable exactly when lambda0 is not a common root.
     ``eta``, ``A`` and ``zeta`` accept explicit overrides (a supplied
-    eta is snapped onto the actual kernel); data shorter than n+L-1
-    samples always gets the stock pair and refuses them. Every
-    certificate is verified before return: annihilation residual within
-    the scaled budget, (A, B) controllable, spectrum free of common
-    roots, stacked matrix rank-deficient.
+    eta is snapped onto the actual kernel). With T < n+L every eta is a
+    kernel vector and the default is e_1, which gives A = J(0) and
+    B = [e_n, 0, ..., 0]. Every certificate is verified before return:
+    annihilation residual within the scaled budget, (A, B) controllable,
+    spectrum free of common roots, stacked matrix rank-deficient.
 
     Raises:
-        ValidationError: an override was given for data shorter than
-            n+L-1 samples.
+        ValidationError: an override has the wrong size or eta is far
+            from the kernel.
         PersistentlyExcitingError: the input is exciting of order n+L.
         ConstructionError: no eigenvalue candidate produced a verifiable
             certificate (diagnostics included).
@@ -615,8 +576,6 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         raise ValidationError("B must be nonzero")
 
     k = n + L
-    if u.length < k - 1:
-        raise ValidationError(f"need T >= n+L-1 = {k - 1} samples, got {u.length}")
     eta, eta_residual, lam = _kernel_vector(u, k, rtol)
 
     if lam.contains(np.linalg.eigvals(A)).any():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from peu import (
+    ConstructionError,
     EigenvalueConflictError,
     PersistentlyExcitingError,
     Signal,
+    StateSpaceSystem,
     ValidationError,
     check_behavior_equality,
     construct_certificate,
@@ -13,6 +15,7 @@ from peu import (
     extend_to_output,
     is_controllable,
     sample_system_cloud,
+    simulate,
     single_input_family,
     universality_verdict,
 )
@@ -84,20 +87,27 @@ class TestConstructCertificate:
         u = Signal(np.ones((2, 1)))
         cert = construct_certificate(u, 3, 1)
         assert cert.short_data_case
-        assert cert.eta is None and cert.E is None
+        # T < n+L: the default eta is e_1, so E_i = 0 for i >= 0 and B = E_{-1}
+        np.testing.assert_array_equal(cert.eta.ravel(), [1.0, 0.0, 0.0, 0.0])
+        assert not any(Ei.any() for Ei in cert.E[:-1])
         assert not cert.v.any()
         H1x = hankel(Signal(cert.states), 1)
         assert np.abs(cert.w @ H1x).max() <= 1e-10
         certificate_is_sound(cert, u)
 
-    def test_short_data_overrides_rejected(self):
-        # T < n+L-1 always uses the stock pair, so an override cannot be honoured
+    def test_short_data_overrides_honoured(self):
+        # T < n+L-1: every eta is a kernel vector, so overrides take the main path
         u = Signal(np.array([1.0, 2.0]))
-        for override in ({"A": np.diag([0.5, 0.25, 0.125])}, {"zeta": np.ones(3)},
-                         {"eta": np.ones(4)}):
-            with pytest.raises(ValidationError, match="overrides need T >= n\\+L-1 = 3"):
-                construct_certificate(u, 3, 1, **override)
-        with pytest.raises(ValidationError, match="overrides need"):
+        cert = construct_certificate(u, 3, 1, eta=np.ones(4))
+        np.testing.assert_array_equal(cert.eta.ravel(), np.ones(4))
+        certificate_is_sound(cert, u)
+        cert = construct_certificate(u, 3, 1, zeta=np.ones(3))
+        np.testing.assert_array_equal(cert.zeta, np.ones(3))
+        certificate_is_sound(cert, u)
+        # a diagonal A cannot be reached from a single zeta = e_n
+        with pytest.raises(ConstructionError, match="\\(A, zeta\\) is not controllable"):
+            construct_certificate(u, 3, 1, A=np.diag([0.5, 0.25, 0.125]))
+        with pytest.raises(ConstructionError, match="\\(A, zeta\\) is not controllable"):
             construct_certificate_l0(Signal(np.array([1.0, 2.0, 3.0])), 4, A=np.eye(4))
 
     def test_cubic_input_quadruple_root(self):
@@ -114,6 +124,25 @@ class TestConstructCertificate:
         u = Signal(np.random.default_rng(5).standard_normal((3, 1)))
         cert = construct_certificate(u, 3, 1)
         assert not cert.short_data_case
+        certificate_is_sound(cert, u)
+
+    @pytest.mark.parametrize("L", [0, 1, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_boundary_length_gaussian(self, n, m, L):
+        # T = n+L-1: eta = e_1 has no common roots, so the scan stops at J(0);
+        # the last unit vector's root at 0 would push it onto J(+-1), J(+-2),
+        # ..., which fail from n = 8 on
+        rng = np.random.default_rng(100 * n + 10 * m + L)
+        if L == 0:  # n samples: the construction reads the first n-1
+            full = Signal(rng.standard_normal((n, m)))
+            cert = construct_certificate_l0(full, n)
+            u = full.window(0, n - 1)
+        else:
+            u = Signal(rng.standard_normal((n + L - 1, m)))
+            cert = construct_certificate(u, n, L)
+        assert not cert.short_data_case
+        np.testing.assert_array_equal(cert.A, _jordan_block(0.0, n))
         certificate_is_sound(cert, u)
 
     def test_exciting_input_rejected(self):
@@ -186,7 +215,8 @@ class TestConstructCertificateL0:
 
 
 class TestShortDataMultiInput:
-    """The short-data branch at m >= 2: a fixed stock pair, no seed anywhere."""
+    """Data with T <= n+L-1, at m >= 2 and in general: the main construction
+    with eta = e_1 yields the nilpotent pair (J(0), [e_n, 0, ..., 0]), no seed anywhere."""
 
     @pytest.mark.parametrize("build", [
         lambda u: construct_certificate(u, 3, 1),   # T=2 < n+L-1 = 3
@@ -200,6 +230,30 @@ class TestShortDataMultiInput:
         assert not cert.B[:, 1:].any()
         assert build(u).to_dict() == cert.to_dict()
         assert "seed" not in cert.to_dict()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 3), L=st.integers(0, 4),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_short_lengths_give_the_nilpotent_pair(self, n, m, L, data, seed):
+        assume(n + L >= 2)  # n = 1, L = 0 has no length below n+L
+        T = data.draw(st.integers(max(L, 1), n + L - 1), label="T")
+        rng = np.random.default_rng(seed)
+        u = Signal(rng.standard_normal((T, m)))
+        if L == 0:  # the depth-0 variant reads one trailing sample it ignores
+            full = Signal(np.vstack([u.samples, rng.standard_normal((1, m))]))
+            cert = construct_certificate_l0(full, n)
+        else:
+            cert = construct_certificate(u, n, L)
+        certificate_is_sound(cert, u)
+        assert cert.short_data_case == (T < n + L - 1)
+        np.testing.assert_array_equal(cert.eta.ravel(), np.eye((n + L) * m)[0])
+        A, B = _jordan_block(0.0, n), np.zeros((n, m))
+        B[-1, 0] = 1.0
+        states = simulate(StateSpaceSystem.from_state_pair(A, B), np.zeros(n), u).x.samples
+        assert cert.A.tobytes() == A.tobytes() and cert.B.tobytes() == B.tobytes()
+        assert cert.zeta.tobytes() == B[:, 0].tobytes()
+        assert cert.x0.tobytes() == np.zeros(n).tobytes()
+        assert cert.states.tobytes() == states[:T - L + 1].tobytes()
 
     def test_seed_keyword_is_gone(self):
         u = Signal(np.ones((2, 2)))
@@ -372,6 +426,14 @@ class TestSingleInputFamily:
         u = Signal(np.random.default_rng(89).standard_normal(3))
         cert = single_input_family(u, 2, 2, np.diag([0.5, 2.0]), np.ones(2))
         np.testing.assert_array_equal(cert.eta.ravel(), [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(cert.B.ravel(), np.ones(2), atol=1e-10)
+        assert cert.stacked_rank.rank < 4
+
+    def test_below_boundary_length(self):
+        # T = 2 < n+L-1 = 3: the x0 sum reads the two samples that exist
+        u = Signal(np.random.default_rng(89).standard_normal(2))
+        cert = single_input_family(u, 2, 2, np.diag([0.5, 2.0]), np.ones(2))
+        assert cert.short_data_case
         np.testing.assert_allclose(cert.B.ravel(), np.ones(2), atol=1e-10)
         assert cert.stacked_rank.rank < 4
 

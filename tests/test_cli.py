@@ -298,6 +298,17 @@ class TestUniversal:
         write_zero_signal(sig, T=8)
         assert main(["universal", str(sig), "--n", "2", "--L", "1"]) == EXIT_FALSE
 
+    def test_boundary_length_certificate(self, tmp_path):
+        # T = n+L-1 = 12 samples: no Hankel column, eta = e_1 and the pair J(0)
+        sig = tmp_path / "g.csv"
+        write_signal_csv(str(sig), Signal(np.random.default_rng(12).standard_normal(12)),
+                         RunConfig())
+        out = tmp_path / "verdict.json"
+        assert main(["universal", str(sig), "--n", "12", "--L", "1",
+                     "--out", str(out)]) == EXIT_FALSE
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["rank_deficit_confirmed"] is True and cert["short_data_case"] is False
+
     def test_lists_orders_up_to_n_plus_L(self, tmp_path):
         sig = tmp_path / "g.csv"
         write_signal_csv(str(sig),
@@ -350,7 +361,8 @@ class TestCounterexample:
         cert = json.loads((bundle / "certificate.json").read_text())
         assert cert["short_data_case"] is True
 
-    def test_short_input_override_is_input_error(self, tmp_path, capsys):
+    def test_short_input_uncontrollable_override_fails_construction(self, tmp_path, capsys):
+        # short data honours overrides; a diagonal A with zeta = e_n is not controllable
         sig = tmp_path / "short.csv"
         write_signal_csv(str(sig), Signal(np.array([1.0, 2.0])), RunConfig())
         A_file = tmp_path / "A.json"
@@ -358,8 +370,8 @@ class TestCounterexample:
         bundle = tmp_path / "out"
         code = main(["counterexample", str(sig), "--n", "3", "--L", "1",
                      "--override-A", str(A_file), "--out", str(bundle)])
-        assert code == EXIT_INPUT
-        assert "overrides need T >= n+L-1" in capsys.readouterr().err
+        assert code == EXIT_CONSTRUCTION
+        assert "(A, zeta) is not controllable" in capsys.readouterr().err
         assert not bundle.exists()
 
     def test_depth_zero_flag(self, tmp_path):

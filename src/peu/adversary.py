@@ -181,14 +181,10 @@ def _jordan_block(lam, n):
     return J
 
 
-def _lambda0_candidates():
-    """Deterministic eigenvalue scan 0, 1, -1, 2, -2, ..."""
-    yield 0.0
-    k = 1
-    while True:
-        yield float(k)
-        yield float(-k)
-        k += 1
+# Deterministic eigenvalue scan 0, 1, -1, ..., 32, -32. Finite, so that a kernel
+# vector whose margin vanishes at every large |z| (an impulse input's z^j) ends
+# the scan with a ConstructionError instead of running forever.
+_LAMBDA0_CANDIDATES = (0.0, *(float(s * k) for k in range(1, 33) for s in (1, -1)))
 
 
 def _krylov(A, zeta, count):
@@ -353,7 +349,7 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
         candidates = [("override", A)]
     else:
         # lazy: the scan usually stops at its first candidate
-        scan = islice((z for z in _lambda0_candidates() if not lam.contains(z)), 32)
+        scan = islice((z for z in _LAMBDA0_CANDIDATES if not lam.contains(z)), 32)
         candidates = ((lam0, _jordan_block(lam0, n)) for lam0 in scan)
 
     failures = []

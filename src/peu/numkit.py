@@ -9,11 +9,14 @@ that share M from one SVD of M and never calls a stack deficient that
 ``stacked_deficient`` and ``kernel_basis``: a singular value counts as
 nonzero when it exceeds ``rtol * max(rows, cols) * sigma_max`` (plain
 ``rtol`` when sigma_max is 0), which ``rank_report`` may raise to an
-absolute floor ``atol``.
+absolute floor ``atol``. ``rank_report(M, shape=...)`` decides for a
+larger matrix whose singular values M shares (``signals.pe_order`` passes
+a small factor of each Hankel matrix): tolerance and report use that shape.
 ``kernel_basis`` keeps the SVD's order, so its last column is the
 best-annihilating unit vector: one call both decides whether a kernel
-exists and supplies that vector. Every SVD goes through ``_svd``, which
-retries on the transpose where LAPACK does not converge.
+exists and supplies that vector; its SVD of a tall matrix is thin, since
+only the right singular vectors are read. Every SVD goes through
+``_svd``, which retries on the transpose where LAPACK does not converge.
 ``lambda_set`` holds the common roots of a vector polynomial implicitly
 and decides membership by evaluating the polynomial.
 """
@@ -123,7 +126,7 @@ def _svd(A, **kwargs):
         return np.swapaxes(vh, -1, -2), s, np.swapaxes(u, -1, -2)
 
 
-def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
+def rank_report(M, rtol=RTOL, atol=0.0, shape=None) -> RankReport:
     """Singular-value rank decision for a dense matrix.
 
     Args:
@@ -133,6 +136,11 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
             matrix can be pure rounding noise relative to an external
             data scale (for example a state row driven by a much larger
             input); 0 keeps the purely relative policy.
+        shape: the (rows, cols) of the matrix whose singular values ``M``
+            shares, when ``M`` is a smaller stand-in for it (such as a
+            triangular factor with the same Gram matrix); the tolerance,
+            the full-rank flags and ``RankReport.shape`` then describe
+            that matrix. ``None`` means ``M``'s own shape.
 
     Returns:
         RankReport with non-increasing singular values.
@@ -141,9 +149,12 @@ def rank_report(M, rtol=RTOL, atol=0.0) -> RankReport:
     _check_rtol(rtol)
     if atol < 0:
         raise ValidationError("atol must be non-negative")
-    rows, cols = A.shape
+    rows, cols = A.shape if shape is None else shape
+    if min(rows, cols) != min(A.shape):
+        raise ValidationError(f"a {A.shape} matrix cannot share the singular values of a "
+                              f"{(rows, cols)} matrix")
     s = _svd(A, compute_uv=False)
-    tol = max(_tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol), atol)
+    tol = max(_tolerance(float(s[0]) if s.size else 0.0, (rows, cols), rtol), atol)
     rank = int(np.sum(s > tol))
     return RankReport(
         rank=rank,
@@ -191,7 +202,9 @@ def kernel_basis(M, rtol=RTOL):
     """
     A = as_matrix(M)
     _check_rtol(rtol)
-    _, s, vh = _svd(A, full_matrices=True)  # vh is the identity where A has no entries
+    # thin where rows >= cols: vh is square either way, and a tall A's full U
+    # would be a rows x rows array that is never read
+    _, s, vh = _svd(A, full_matrices=A.shape[0] < A.shape[1])  # vh = I where A has no entries
     rank = int(np.sum(s > _tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol)))
     return vh[rank:].T.copy()
 

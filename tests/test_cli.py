@@ -325,6 +325,22 @@ class TestUniversal:
         assert len(full["per_order"]) == (40 + 1) // (2 + 1)
         assert full["per_order"][:5] == report["per_order"]
 
+    def test_impulse_scan_ends(self, tmp_path):
+        # an impulse's kernel vectors all vanish at 0, and the default one is
+        # the monomial z, whose margin also counts every integer |z| >= 3 as
+        # a root; the eigenvalue scan must give up, not run on. A separate
+        # process with a timeout keeps the suite from hanging if it runs on.
+        sig = tmp_path / "impulse.csv"
+        write_signal_csv(str(sig), Signal(np.eye(80, 1)), RunConfig())
+        src = str(FIXTURES.parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "peu.cli", "universal", str(sig),
+                               "--n", "20", "--L", "2", "--out", str(tmp_path / "v.json")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_CONSTRUCTION
+        assert "failed for all eigenvalue candidates" in proc.stderr
+
 
 class TestCounterexample:
     def test_reference_overrides(self, tmp_path, ex2_values):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,27 @@ class TestRankReport:
             r, c = rng.integers(1, 9, size=2)
             M = rng.integers(-3, 4, size=(r, c)).astype(float)
             assert rank_report(M).rank == exact_rank(M)
+
+
+class TestSharedShape:
+    """``rank_report(M, shape=...)`` decides for the matrix M stands in for."""
+
+    def test_factor_reports_like_the_matrix(self):
+        rng = np.random.default_rng(67)
+        H = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 30))
+        R = np.linalg.qr(H.T, mode="r")  # R^T R = H H^T
+        direct, shared = rank_report(H), rank_report(R, shape=H.shape)
+        assert shared.shape == direct.shape == (4, 30)
+        assert shared.rank == direct.rank == 2
+        assert shared.full_col_rank is direct.full_col_rank is False
+        np.testing.assert_allclose(shared.singular_values, direct.singular_values,
+                                   rtol=0, atol=1e-13 * direct.singular_values[0])
+        # the tolerance uses max(4, 30), not R's own 4 x 4
+        assert shared.tolerance_used == pytest.approx(direct.tolerance_used, rel=1e-13)
+
+    def test_shape_must_share_the_singular_value_count(self):
+        with pytest.raises(ValidationError, match="cannot share"):
+            rank_report(np.eye(3), shape=(4, 30))
 
 
 class TestStackedDeficient:
@@ -211,6 +234,22 @@ class TestKernelBasis:
             if K.shape[1]:
                 np.testing.assert_allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-10)
                 assert np.linalg.norm(M @ K) <= rep.tolerance_used * np.sqrt(c)
+
+
+    def test_tall_matrix_allocates_no_square_array(self):
+        # a full SVD of a T x c matrix returns a T x T U (800 MB here) that
+        # the kernel never reads; the thin SVD's U is as large as M
+        M = np.random.default_rng(71).standard_normal((10_000, 40))
+        M[:, 0] = M[:, -1]
+        tracemalloc.start()
+        try:
+            K = kernel_basis(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (40, 1)
+        assert np.linalg.norm(M @ K) <= 1e-9 * np.linalg.norm(M)
+        assert peak <= 8 * M.nbytes < M.shape[0] ** 2 * M.itemsize // 25
 
 
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-9])

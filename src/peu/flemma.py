@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .defaults import RTOL, TOL_CERT
+from .defaults import RTOL, TOL_CERT, TRAJECTORY_RTOL
 from .errors import NotATrajectoryError, ValidationError
-from .lti import StateSpaceSystem, behavior_basis, markov_toeplitz, observability_matrix, simulate
+from .lti import StateSpaceSystem, behavior_basis, observability_matrix, simulate
 from .numkit import RankReport, rank_report
-from .signals import PEReport, Signal, as_signal, hankel, pe_order, stack
+from .signals import PEReport, Signal, as_signal, hankel, pe_order
 
 __all__ = [
     "LemmaCheck",
@@ -91,21 +91,29 @@ def check_rank_condition(u: Signal, x: Signal, L, n, rtol=RTOL) -> RankReport:
     return rank_report(M, rtol)
 
 
-def _reconstruct_state(sys: StateSpaceSystem, u: Signal, y: Signal):
-    """Least-squares initial state consistent with (u, y); raises when none fits."""
+def _reconstruct_state(sys: StateSpaceSystem, u: Signal, y: Signal) -> np.ndarray:
+    """States x(0..T) of the trajectory (u, y); raises when (u, y) is none.
+
+    The forced response (outputs and states from x0 = 0) is one
+    ``simulate``. The least-squares x0 fits the free output
+    y - y_forced = O_T x0, and the states are the forced states plus the
+    free states A^t x0. O_T and the free states come from the doubling
+    in ``observability_matrix``, so time and memory are O(T).
+    """
     T = u.length
+    forced = simulate(sys, np.zeros(sys.n), u)
     O = observability_matrix(sys.C, sys.A, T)
-    forced = markov_toeplitz(sys, T) @ stack(u)
-    rhs = stack(y) - forced
+    rhs = (y.samples - forced.y.samples).reshape(-1)
     x0, *_ = np.linalg.lstsq(O, rhs, rcond=None)
     residual = float(np.linalg.norm(O @ x0 - rhs))
-    scale = 1.0 + float(np.linalg.norm(stack(y))) + float(np.linalg.norm(forced))
-    if residual > 1e-6 * scale:
+    bound = TRAJECTORY_RTOL * (float(np.linalg.norm(y.samples))
+                               + float(np.linalg.norm(forced.y.samples)))
+    if residual > bound:
         raise NotATrajectoryError(
             f"(u, y) is not a trajectory of the system: output residual {residual:.3e} "
-            f"exceeds {1e-6 * scale:.3e}"
+            f"exceeds {bound:.3e}"
         )
-    return x0
+    return forced.x.samples + observability_matrix(x0, sys.A.T, T + 1)
 
 
 def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
@@ -113,11 +121,14 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
     """Does the experiment's data span the entire L-restricted behavior?
 
     The (u, y) pair is first validated as a trajectory of ``sys`` by
-    reconstructing a compatible initial state (garbage input raises
-    rather than mis-scoring); the reconstructed state then fills the
-    rank-condition half of the report. Equality is decided by the
-    three-rank test at one tolerance; the containment of the data span
-    in the behavior holds for trajectories by construction.
+    reconstructing its states (garbage input raises rather than
+    mis-scoring); they then fill the rank-condition half of the report.
+    The reconstruction is one forced recursion and a least-squares x0
+    against the doubled O_T, so time and memory are O(T): no
+    (Tp)x(Tm) Toeplitz and no T x T array are built. Equality is
+    decided by the three-rank test at one tolerance; the containment of
+    the data span in the behavior holds for trajectories by
+    construction.
     """
     u = as_signal(u)
     y = as_signal(y)
@@ -128,9 +139,8 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
 
-    x0 = _reconstruct_state(sys, u, y)
-    x = simulate(sys, x0, u).x
-    rank_cond = check_rank_condition(u, Signal(x.samples[: u.length - L + 1]), L, sys.n, rtol)
+    x = _reconstruct_state(sys, u, y)
+    rank_cond = check_rank_condition(u, Signal(x[: u.length - L + 1]), L, sys.n, rtol)
 
     bb = behavior_basis(sys, L, rtol)
     Huy = np.vstack([hankel(u, L), hankel(y, L)])

@@ -116,7 +116,12 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
     """Run the state recursion from x0 under input u.
 
     The returned state signal has length T+1 (the post-input state x(T)
-    is kept); the output has length T.
+    is kept); the output has length T. The input terms B u(t), D u(t)
+    and the outputs C x(t) are stacked products outside the loop, which
+    only adds A x(t) to the B u(t) already stored in x(t+1). A stacked
+    ``np.matmul`` takes each sample's product by the same kernel as
+    ``B @ u(t)``, and addition commutes, so the result is the per-step
+    recursion's bit for bit. Time and memory are O(T).
     """
     u = as_signal(u)
     x0 = as_vector(x0, "x0")
@@ -125,12 +130,15 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
     if x0.size != sys.n:
         raise ValidationError(f"x0 size {x0.size} does not match system n={sys.n}")
     T = u.length
+    U = u.samples[:, :, None]
     x = np.empty((T + 1, sys.n))
-    y = np.empty((T, sys.p))
     x[0] = x0
-    for t in range(T):
-        y[t] = sys.C @ x[t] + sys.D @ u.samples[t]
-        x[t + 1] = sys.A @ x[t] + sys.B @ u.samples[t]
+    x[1:] = np.matmul(sys.B, U)[:, :, 0]
+    A = sys.A
+    rows = list(x)
+    for x_t, x_next in zip(rows, rows[1:]):
+        x_next += A @ x_t
+    y = np.matmul(sys.C, x[:T, :, None])[:, :, 0] + np.matmul(sys.D, U)[:, :, 0]
     return Trajectory(u=u, x=Signal(x), y=Signal(y))
 
 
@@ -166,13 +174,33 @@ def is_controllable(A, B, rtol=RTOL):
 
 
 def observability_matrix(C, A, L) -> np.ndarray:
-    """Stack of C, CA, ..., CA^(L-1); shape (L*p, n)."""
+    """Stack of C, CA, ..., CA^(L-1); shape (L*p, n).
+
+    Built by doubling: once the first k block rows M_k are filled, the
+    next k are M_k A^k, and A^2k = A^k A^k. That is about log2(L)
+    products, and nothing beyond the result and one n x n power is
+    kept. Where A^2k would overflow (an unstable mode that C does not
+    see), the doubling stops and the rows advance k at a time by the
+    last finite power. With C = x0^T and A^T the rows are the free
+    states (A^t x0)^T, t = 0..L-1.
+    """
     C = as_matrix(C, "C")
     A = as_matrix(A, "A")
-    blocks = [C]
-    for _ in range(L - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    p = C.shape[0]
+    O = np.empty((L * p, C.shape[1]))
+    O[:p] = C
+    filled, k, power = 1, 1, A  # power = A^k
+    while filled < L:
+        j = min(k, L - filled)
+        start = filled - k
+        np.matmul(O[start * p:(start + j) * p], power, out=O[filled * p:(filled + j) * p])
+        filled += j
+        if filled == 2 * k < L:
+            with np.errstate(over="ignore", invalid="ignore"):
+                square = power @ power
+            if np.isfinite(square).all():
+                k, power = filled, square
+    return O
 
 
 def markov_toeplitz(sys: StateSpaceSystem, L) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Independent test oracles: exact rational arithmetic, no floating point.
+"""Independent test oracles: exact rational arithmetic and direct loops.
 
 Used to cross-check the library's factorization-based answers. The
 rational Gaussian elimination decides rank exactly for matrices whose
 entries are (convertible to) fractions; the rational construction
 replica replays the counterexample recursion in exact arithmetic so the
-claimed rank deficiency can be confirmed without tolerances.
+claimed rank deficiency can be confirmed without tolerances. The loop
+oracles spell out, one sample or one block at a time, what the
+library computes with stacked array products.
 """
 
 from fractions import Fraction
@@ -187,6 +189,46 @@ def markov_toeplitz_loop(sys, L):
         for j in range(i + 1):
             T[i * p:(i + 1) * p, j * m:(j + 1) * m] = markov[i - j]
     return T
+
+
+# -- the state recursion one sample at a time, and x0 from dense matrices ------
+
+
+def simulate_loop(sys, x0, u_samples):
+    """States x(0..T) and outputs y(0..T-1), four products per sample.
+
+    ``lti.simulate`` takes the input and output terms as stacked
+    products outside its loop and must agree bit for bit.
+    """
+    T = u_samples.shape[0]
+    x = np.empty((T + 1, sys.n))
+    y = np.empty((T, sys.p))
+    x[0] = x0
+    for t in range(T):
+        y[t] = sys.C @ x[t] + sys.D @ u_samples[t]
+        x[t + 1] = sys.A @ x[t] + sys.B @ u_samples[t]
+    return x, y
+
+
+def observability_loop(C, A, L):
+    """C, CA, ..., CA^(L-1) stacked, one product per block row."""
+    blocks = [np.atleast_2d(C)]
+    for _ in range(L - 1):
+        blocks.append(blocks[-1] @ A)
+    return np.vstack(blocks)
+
+
+def reconstruct_x0_dense(sys, u_samples, y_samples):
+    """Least-squares x0 against the dense (Tp)x(Tm) Toeplitz and O_T by a loop.
+
+    O(T^2) memory; the library's O(T) reconstruction must agree to
+    rounding.
+    """
+    T = u_samples.shape[0]
+    O = observability_loop(sys.C, sys.A, T)
+    forced = markov_toeplitz_loop(sys, T) @ u_samples.reshape(-1)
+    x0, *_ = np.linalg.lstsq(O, y_samples.reshape(-1) - forced, rcond=None)
+    return x0
 
 
 # -- CSV rows written one cell at a time ----------------------------------------

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peu import (
     NotATrajectoryError,
@@ -17,8 +19,10 @@ from peu import (
     simulate,
     universality_verdict,
 )
+from peu.flemma import _reconstruct_state
 
 from conftest import non_exciting_input, random_controllable_system
+from oracles import reconstruct_x0_dense, simulate_loop
 
 
 class TestCheckRankCondition:
@@ -125,6 +129,79 @@ class TestCheckBehaviorEquality:
         check = check_behavior_equality(sys, u, Signal(np.zeros(6)), 2)
         assert check.behavior_dim == 2  # rank(O_L) = 0
         assert check.behavior_equal == (check.data_span_dim == 2)
+
+
+class TestTrajectoryReconstruction:
+    """States from one forced recursion plus the doubled O_T and free states."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 5), m=st.integers(1, 3), p=st.integers(1, 3),
+           extra=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, m=1, p=1, extra=0, seed=0)
+    def test_matches_dense_method(self, n, m, p, extra, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_controllable_system(rng, n, m, p)
+        u = rng.standard_normal((n + extra, m))
+        traj = simulate(sys, rng.standard_normal(n), Signal(u))
+        x = _reconstruct_state(sys, traj.u, traj.y)
+        x0 = reconstruct_x0_dense(sys, u, traj.y.samples)
+        assert np.linalg.norm(x[0] - x0) <= 1e-10 * np.linalg.norm(x0)
+        # the states are the recursion from x(0), to rounding
+        np.testing.assert_allclose(x, simulate_loop(sys, x[0], u)[0],
+                                   rtol=0, atol=1e-12 * np.abs(x).max())
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_non_trajectory_rejected_at_every_scale(self, scale):
+        # the misfit bound is relative only: small garbage is still garbage
+        rng = np.random.default_rng(131)
+        sys = random_controllable_system(rng, 3, 2, 2)
+        u = Signal(scale * rng.standard_normal((40, 2)))
+        y = Signal(scale * rng.standard_normal((40, 2)))
+        with pytest.raises(NotATrajectoryError):
+            check_behavior_equality(sys, u, y, 2)
+        traj = simulate(sys, scale * rng.standard_normal(3), u)
+        assert check_behavior_equality(sys, u, traj.y, 2).behavior_equal
+
+    def test_check_memory_is_linear_in_T(self):
+        # a dense (Tp)x(Tm) Toeplitz would be 128 MB here; the O(T) check
+        # holds a few arrays of T rows
+        rng = np.random.default_rng(137)
+        sys = random_controllable_system(rng, 3, 2, 2)
+        u = Signal(rng.standard_normal((2000, 2)))
+        y = simulate(sys, rng.standard_normal(3), u).y
+        tracemalloc.start()
+        try:
+            check = check_behavior_equality(sys, u, y, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.behavior_equal
+        assert peak <= 4 * 2**20
+
+
+class TestSimilarityInvariance:
+    """x -> S^-1 x changes no verdict, data span or behavior dimension."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["gauss", "short", "zero"]),
+           n=st.integers(1, 4), m=st.integers(1, 2), p=st.integers(1, 2), L=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_check_verdict_and_dims(self, kind, n, m, p, L, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_controllable_system(rng, n, m, p)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        S = Q * rng.uniform(0.5, 2.0, n)
+        Si = np.linalg.inv(S)
+        similar = StateSpaceSystem(Si @ sys.A @ S, Si @ sys.B, sys.C @ S, sys.D)
+        T_min = (n + L) * (m + 1) - 1  # shortest length that can excite order n+L
+        T = int(rng.integers(L, T_min)) if kind == "short" else T_min + int(rng.integers(0, 30))
+        u = Signal(np.zeros((T, m)) if kind == "zero" else rng.standard_normal((T, m)))
+        y = simulate(sys, rng.standard_normal(n), u).y
+        a = check_behavior_equality(sys, u, y, L)
+        b = check_behavior_equality(similar, u, y, L)
+        assert (a.behavior_equal, a.data_span_dim, a.behavior_dim) == \
+            (b.behavior_equal, b.data_span_dim, b.behavior_dim)
+        assert a.rank_condition.rank == b.rank_condition.rank
 
 
 class TestCheckStateRank:

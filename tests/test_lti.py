@@ -17,7 +17,7 @@ from peu.lti import controllability_matrix, markov_toeplitz, observability_matri
 from peu.signals import stack
 
 from conftest import random_controllable_system
-from oracles import markov_toeplitz_loop
+from oracles import markov_toeplitz_loop, observability_loop, simulate_loop
 
 
 class TestStateSpaceSystem:
@@ -68,6 +68,23 @@ class TestSimulate:
                 for t in range(u.length)
             )
             assert resid <= 1e-10 * (1.0 + np.abs(x).max())
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 3), p=st.integers(1, 3), T=st.integers(1, 300),
+           rho=st.floats(0.5, 1.5), zero_d=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(n=8, m=3, p=3, T=300, rho=1.5, zero_d=False, seed=0)
+    @example(n=1, m=1, p=1, T=1, rho=0.5, zero_d=True, seed=1)
+    def test_matches_step_loop(self, n, m, p, T, rho, zero_d, seed):
+        # bit for bit, stable and unstable A (rho^T reaches 1e52), D zero or not
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A *= rho / float(np.abs(np.linalg.eigvals(A)).max())
+        D = np.zeros((p, m)) if zero_d else rng.standard_normal((p, m))
+        sys = StateSpaceSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)), D)
+        x0, u = rng.standard_normal(n), rng.standard_normal((T, m))
+        traj = simulate(sys, x0, Signal(u))
+        x, y = simulate_loop(sys, x0, u)
+        assert np.array_equal(traj.x.samples, x) and np.array_equal(traj.y.samples, y)
 
     def test_dimension_mismatch(self):
         sys = StateSpaceSystem.from_state_pair(np.eye(2), np.ones((2, 1)))
@@ -160,6 +177,55 @@ class TestMarkovToeplitz:
             tracemalloc.stop()
         extra = peak - T.nbytes
         assert 0 <= extra <= 32 * (L * p * m * T.itemsize) < T.nbytes // 2
+
+
+class TestObservabilityMatrix:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 6), p=st.integers(1, 3), L=st.integers(1, 150),
+           rho=st.floats(0.5, 1.05), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, p=2, L=1, rho=0.9, seed=0)
+    @example(n=4, p=1, L=129, rho=1.05, seed=1)
+    def test_doubling_matches_product_loop(self, n, p, L, rho, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A *= rho / float(np.abs(np.linalg.eigvals(A)).max())
+        C = rng.standard_normal((p, n))
+        O, ref = observability_matrix(C, A, L), observability_loop(C, A, L)
+        assert O.shape == (L * p, n)
+        np.testing.assert_array_equal(O[:2 * p], ref[:2 * p])  # C and CA: the same products
+        # block row t to rounding, relative to the size of C A^t
+        err = np.abs(O - ref).reshape(L, p * n).max(axis=1)
+        size = np.abs(ref).reshape(L, p * n).max(axis=1)
+        assert np.all(err <= 1e-10 * size)
+
+    def test_free_states(self):
+        # with C = x0^T and A^T the rows are (A^t x0)^T
+        rng = np.random.default_rng(5)
+        A, x0 = 0.3 * rng.standard_normal((4, 4)), rng.standard_normal(4)
+        X = observability_matrix(x0, A.T, 20)
+        x = [x0]
+        for _ in range(19):
+            x.append(A @ x[-1])
+        np.testing.assert_allclose(X, np.array(x), rtol=1e-12, atol=1e-14)
+
+    def test_unseen_unstable_mode_stays_finite(self):
+        # A^1024 overflows, C A^t does not: the doubling stops at the last
+        # finite power instead of multiplying 0 by inf
+        A, C = np.diag([2.0, 0.5]), np.array([[0.0, 1.0]])
+        O = observability_matrix(C, A, 2100)
+        np.testing.assert_array_equal(O, observability_loop(C, A, 2100))
+
+    def test_doubling_keeps_no_stack_of_powers(self):
+        # beyond the result: one n x n power at a time, not T of them
+        n, p, L = 3, 2, 10_000
+        sys = _random_system(4, n, 1, p)
+        tracemalloc.start()
+        try:
+            O = observability_matrix(sys.C, sys.A, L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 <= peak - O.nbytes <= 64 * n * n * O.itemsize < L * n * n * O.itemsize // 100
 
 
 class TestBehaviorBasis:

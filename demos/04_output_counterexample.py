@@ -43,7 +43,7 @@ print(f"witness output window: {np.round(out.witness_y.samples[:, 0], 4)}")
 print(f"annihilator against the witness window: {out.separation_value:.6f} (not 0!)")
 
 check = out.behavior_check
-print(f"\nindependent three-rank check: data span {check.data_span_dim}, "
+print(f"\nindependent rank check: data span {check.data_span_dim}, "
       f"behavior {check.behavior_dim}, equal: {check.behavior_equal}")
 
 # the same experiment scored against the full-state output map tells the

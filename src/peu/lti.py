@@ -156,21 +156,28 @@ def controllability_matrix(A, B) -> np.ndarray:
 
 
 def is_controllable(A, B, rtol=RTOL):
-    """Kalman rank test; returns (verdict, RankReport).
+    """Popov-Belevitch-Hautus test; returns (verdict, RankReport).
 
-    For n > 6 the powers are taken of A divided by its spectral-radius
-    estimate so overflow cannot distort the test; blockwise column
-    scaling preserves the span, hence the rank.
+    [A - lambda I, B] must have rank n at each distinct eigenvalue; a
+    complex a + ib is tested by the real embedding
+    [[A - aI, bI, B, 0], [-bI, A - aI, 0, B]] at rank 2n. An upper
+    triangular A gives its diagonal as spectrum (``eigvals`` scatters
+    a 30 x 30 Jordan block's by ~eps**(1/30)). The report is the
+    weakest eigenvalue's; there is none when n = 0.
     """
-    A = as_matrix(A, "A")
-    n = A.shape[0]
-    As = A
-    if n > 6:
-        rho = float(np.abs(np.linalg.eigvals(A)).max()) if n else 0.0
-        if rho > 1.0:
-            As = A / rho
-    rep = rank_report(controllability_matrix(As, B), rtol)
-    return rep.rank == n, rep
+    pair = StateSpaceSystem.from_state_pair(A, B)  # validates the shapes
+    A, B, n = pair.A, pair.B, pair.n
+    eigs = np.diag(A) if not np.tril(A, -1).any() else np.linalg.eigvals(A)
+    I, Z = np.eye(n), np.zeros_like(B)
+    reports = []
+    for lam in np.unique(eigs[eigs.imag >= 0]):
+        a, b = lam.real, lam.imag
+        M = (np.block([[A - a * I, b * I, B, Z], [-b * I, A - a * I, Z, B]]) if b
+             else np.hstack([A - a * I, B]))
+        rep = rank_report(M, rtol)
+        reports.append((rep.rank - len(M), rep.singular_values[len(M) - 1] / rep.tolerance_used, rep))
+    deficit, _, rep = min(reports, key=lambda r: r[:2], default=(0, 0, None))
+    return deficit == 0, rep
 
 
 def observability_matrix(C, A, L) -> np.ndarray:

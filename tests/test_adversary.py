@@ -83,6 +83,28 @@ class TestConstructCertificate:
         stacked = np.vstack([hankel(u, 1), hankel(Signal(cert.states), 1)])
         assert exact_rank(stacked) <= 2  # the dependence is float-exact here
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [5, 10, 20])
+    def test_long_impulse(self, n, L):
+        # every kernel vector of an impulse vanishes at 0, so the scan moves
+        # on to a stable Jordan block; the Kalman test refused these for n >= 20
+        u = Signal(np.eye(80, 1))
+        cert = construct_certificate(u, n, L)
+        assert cert.A[0, 0] == 0.5
+        certificate_is_sound(cert, u)
+
+    @pytest.mark.parametrize("n, L, tones, seed", [(24, 2, 10, 0), (26, 1, 9, 1)])
+    def test_long_multisine(self, n, L, tones, seed):
+        # m = 1, n >= 23 multisines on which every Kalman-tested candidate failed
+        rng = np.random.default_rng(seed)
+        t = np.arange(2 * (n + L) + 1)[:, None]
+        w = np.linspace(0.3, 2.8, tones)[None, :]
+        u = Signal(np.cos(t * w) @ rng.standard_normal(tones)
+                   + np.sin(t * w) @ rng.standard_normal(tones))
+        cert = construct_certificate(u, n, L)
+        assert abs(cert.A[0, 0]) < 1
+        certificate_is_sound(cert, u)
+
     def test_short_data_branch(self):
         u = Signal(np.ones((2, 1)))
         cert = construct_certificate(u, 3, 1)
@@ -131,8 +153,7 @@ class TestConstructCertificate:
     @pytest.mark.parametrize("n", [10, 20, 30])
     def test_boundary_length_gaussian(self, n, m, L):
         # T = n+L-1: eta = e_1 has no common roots, so the scan stops at J(0);
-        # the last unit vector's root at 0 would push it onto J(+-1), J(+-2),
-        # ..., which fail from n = 8 on
+        # the last unit vector's root at 0 would push it onto J(+-1/2), ...
         rng = np.random.default_rng(100 * n + 10 * m + L)
         if L == 0:  # n samples: the construction reads the first n-1
             full = Signal(rng.standard_normal((n, m)))

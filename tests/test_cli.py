@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peu import Signal, construct_certificate, simulate
+from peu import Signal, construct_certificate, hankel, is_controllable, simulate
 from peu.cli import (
     EXIT_CONSTRUCTION,
     EXIT_FALSE,
@@ -326,17 +326,26 @@ class TestUniversal:
         assert full["per_order"][:5] == report["per_order"]
 
     def test_impulse_scan_ends(self, tmp_path):
-        # an impulse's kernel vectors all vanish at 0, and the default one is
-        # the monomial z, whose margin also counts every integer |z| >= 3 as
-        # a root; the eigenvalue scan must give up, not run on. A separate
-        # process with a timeout keeps the suite from hanging if it runs on.
+        # an impulse's kernel vectors all vanish at 0, so the scan moves on
+        # to the stable candidates: at n = 20 J(1/2) gives a certificate. At
+        # n = 40 the default eta is a monomial z^j, tiny at every candidate,
+        # and the finite scan must give up, not run on; a separate process
+        # with a timeout keeps the suite from hanging if it runs on.
         sig = tmp_path / "impulse.csv"
         write_signal_csv(str(sig), Signal(np.eye(80, 1)), RunConfig())
+        out = tmp_path / "v.json"
+        assert main(["universal", str(sig), "--n", "20", "--L", "2",
+                     "--out", str(out)]) == EXIT_FALSE
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["rank_deficit_confirmed"] is True
+        assert is_controllable(np.array(cert["A"]), np.array(cert["B"]))[0]
+        stacked = np.vstack([hankel(Signal(np.eye(80, 1)), 2), np.array(cert["states"]).T])
+        assert np.abs(np.concatenate([cert["v"], cert["w"]]) @ stacked).max() <= 1e-12
         src = str(FIXTURES.parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         proc = subprocess.run([sys.executable, "-m", "peu.cli", "universal", str(sig),
-                               "--n", "20", "--L", "2", "--out", str(tmp_path / "v.json")],
+                               "--n", "40", "--L", "2", "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_CONSTRUCTION
         assert "failed for all eigenvalue candidates" in proc.stderr

@@ -108,14 +108,42 @@ class TestControllability:
         assert ok
 
     def test_large_state_scaling(self):
-        # spectral radius 3 with n = 8: unscaled Krylov blocks reach 3^7;
-        # the spectral-radius scaling keeps the rank test trustworthy
+        # spectral radius 3 with n = 8: Kalman blocks would reach 3^7, but
+        # the PBH test forms no power of A
         A = np.diag(np.linspace(-3.0, 3.0, 8))
         B = np.ones((8, 1))
         ok, _ = is_controllable(A, B)
         assert ok  # well-separated eigenvalues, nonzero B entries
         ok, _ = is_controllable(A, np.vstack([np.zeros((1, 1)), np.ones((7, 1))]))
         assert not ok  # first mode unreachable
+
+    def test_jordan_pairs(self):
+        # (J(lambda0), e_n) is controllable for every lambda0; the Kalman
+        # rank test refused 140 of these 280 pairs (|lambda0| >= 1/2, large n)
+        for n in range(1, 41):
+            e_n = np.eye(n)[:, -1:]
+            for lam0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+                A = lam0 * np.eye(n) + np.eye(n, k=1)
+                ok, rep = is_controllable(A, e_n)
+                assert ok and rep.rank == n, (n, lam0)
+                assert not is_controllable(A, np.eye(n)[:, :1])[0] or n == 1
+
+    def test_complex_eigenvalues(self):
+        # a rotation has eigenvalues exp(+-i theta); one input reaches it,
+        # but not two copies of it, nor a real mode the input misses
+        c, s = np.cos(0.7), np.sin(0.7)
+        R = np.array([[c, -s], [s, c]])
+        ok, rep = is_controllable(R, np.array([[1.0], [0.0]]))
+        assert ok and rep.shape == (4, 6) and rep.rank == 4
+        two = np.block([[R, np.zeros((2, 2))], [np.zeros((2, 2)), R]])
+        ok, rep = is_controllable(two, np.array([[1.0], [0.0], [1.0], [0.0]]))
+        assert not ok and rep.rank == 6  # 2n = 8 needed at exp(i theta)
+        assert is_controllable(two, np.eye(4)[:, ::2])[0]
+        A = np.zeros((3, 3))
+        A[:2, :2], A[2, 2] = R, 0.5
+        assert is_controllable(A, np.array([[1.0], [0.0], [1.0]]))[0]
+        assert not is_controllable(A, np.array([[0.0], [0.0], [1.0]]))[0]
+        assert not is_controllable(A, np.array([[1.0], [0.0], [0.0]]))[0]
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(59)

@@ -34,14 +34,14 @@ from .flemma import LemmaCheck, check_behavior_equality
 from .lti import StateSpaceSystem, is_controllable, simulate
 from .numkit import (
     RankReport,
+    _right_svd,
     as_matrix,
     as_vector,
     lambda_set,
     rank_report,
-    kernel_basis,
     stacked_deficient,
 )
-from .signals import Signal, as_signal, hankel, stack
+from .signals import Signal, as_signal, hankel, is_pe, stack
 
 __all__ = [
     "CounterexampleCertificate",
@@ -187,46 +187,35 @@ _LAMBDA0_CANDIDATES = (0.0, *(s * k / d for d in (2, 4, 8, 16) for k in range(1,
 
 
 def _krylov(A, zeta, count):
-    cols = [zeta]
+    """zeta, A zeta, ..., A^(count-1) zeta, each a contiguous 1-D array."""
+    powers = [zeta]
     for _ in range(count - 1):
-        cols.append(A @ cols[-1])
-    return np.column_stack(cols)
+        powers.append(A @ powers[-1])
+    return powers
 
 
-def _solve_xi(A, zeta, n):
-    """xi with xi^T A^i zeta = 0 for i < n-1 and xi^T A^(n-1) zeta = 1."""
+def _solve_xi(powers):
+    """xi with xi^T A^i zeta = 0 for i < n-1 and xi^T A^(n-1) zeta = 1, from ``_krylov``."""
+    n = len(powers)
     if n == 1:
         return np.array([1.0])
-    K = _krylov(A, zeta, n)
     e_n = np.zeros(n)
     e_n[-1] = 1.0
     try:
-        return np.linalg.solve(K.T, e_n)
+        return np.linalg.solve(np.column_stack(powers).T, e_n)
     except np.linalg.LinAlgError as exc:
         raise ConstructionError(f"Krylov matrix of (A, zeta) is singular: {exc}") from exc
 
 
-def _recursion_and_state(A, zeta, eta, u_data, n, m, L):
-    """Backward E recursion, B, x0 and the simulated state x(0)..x(T-L).
+def _recursion(A, zeta, eta):
+    """Backward recursion E_{k-1} = 0, E_{i-1} = A E_i + zeta eta_i^T for a (k, m) eta.
 
-    Returns (E_desc, B, x0, states) with E in descending index order.
-    The x0 sum stops at the last sample: u is zero past T.
+    Returns (E_{k-1}, E_{k-2}, ..., E_{-1}), descending, so the last is B.
     """
-    T = u_data.shape[0]
-    k = n + L
-    E = [np.zeros((n, m))]  # E_{k-1}
-    for i in range(k - 1, -1, -1):
-        E.append(A @ E[-1] + np.outer(zeta, eta[i]))
-    # E is now [E_{k-1}, E_{k-2}, ..., E_{-1}]
-    B = E[-1]
-    x0 = np.zeros(n)
-    for i in range(min(k - 1, T)):
-        x0 -= E[k - 1 - i] @ u_data[i]  # E[k-1-i] is E_i
-    states = np.empty((T - L + 1, n))
-    states[0] = x0
-    for t in range(T - L):
-        states[t + 1] = A @ states[t] + B @ u_data[t]
-    return tuple(E), B, x0, states
+    E = [np.zeros((len(zeta), eta.shape[1]))]
+    for eta_i in eta[::-1]:
+        E.append(A @ E[-1] + np.outer(zeta, eta_i))
+    return tuple(E)
 
 
 def _closed_form_states(A, zeta, eta, E_desc, u_data, n, m, L):
@@ -255,14 +244,17 @@ def _closed_form_states(A, zeta, eta, E_desc, u_data, n, m, L):
         c = eta[:k - 1].reshape(-1) @ H[:, s:s + r]
         lags = np.arange(r)
         C = np.triu(c[np.abs(lags[None, :] - lags[:, None])])  # C[p, q] = c_{q-p}
-        out[s + 1:] += (_krylov(A, zeta, r) @ C).T
+        out[s + 1:] += (np.column_stack(_krylov(A, zeta, r)) @ C).T
     return out
 
 
-def _stacked_matrix(u: Signal, states, L):
-    if L == 0:
-        return hankel(Signal(states), 1)
-    return np.vstack([hankel(u, L), hankel(Signal(states), 1)])
+def _override(value, shapes, name):
+    """A supplied array of one of ``shapes``, flattened; any other shape is refused."""
+    a = np.asarray(value, dtype=float)
+    if a.shape not in shapes:
+        raise ValidationError(f"{name} must have shape {' or '.join(map(str, shapes))}, "
+                              f"got {a.shape}")
+    return as_vector(a, name)
 
 
 def _project_to_kernel(eta_flat, K):
@@ -287,27 +279,29 @@ def _project_to_kernel(eta_flat, K):
 def _kernel_vector(u, k, rtol, eta_override=None):
     """Left-kernel vector eta of H_k(u), its annihilation residual and common roots.
 
-    One SVD of H_k(u) decides both questions: the left-kernel basis K
-    is empty exactly when u is persistently exciting of order k, which
-    is refused. Otherwise eta is K's last column, the best-annihilating
-    unit vector, or ``eta_override`` snapped onto the span of K. With
-    T < k the Hankel matrix has no columns, K is the identity and the
-    default is the last unit vector (``_certify`` passes e_1 instead).
+    ``signals.is_pe`` alone decides whether a kernel exists, and u
+    exciting of order k is refused. Otherwise its rank r leaves the last
+    km - r right singular vectors of H_k(u)^T as the kernel basis K; eta
+    is K's last column, the best-annihilating unit vector, or
+    ``eta_override`` ((k, m) or flat) snapped onto the span of K. With
+    T < k, H has no columns, r = 0, K is the identity and the default is
+    the last unit vector (``_certify`` passes e_1 instead).
     Returns (eta as a (k, m) array, max |eta^T H|, ``lambda_set`` of eta).
     """
     T, m = u.length, u.dim
-    H = hankel(u, k) if k <= T else np.zeros((k * m, 0))
-    K = kernel_basis(H.T, rtol)
-    if K.shape[1] == 0:
-        raise PersistentlyExcitingError(
-            f"input is persistently exciting of order {k}; no counterexample exists"
-        )
+    H, r = np.zeros((k * m, 0)), 0
+    if k <= T:
+        H = hankel(u, k)
+        exciting, rep = is_pe(u, k, rtol)
+        if exciting:
+            raise PersistentlyExcitingError(f"input is persistently exciting of order {k}; "
+                                            "no counterexample exists")
+        r = rep.rank
+    K = _right_svd(H.T)[1][r:].T.copy()
     if eta_override is None:
         eta_flat = K[:, -1].copy()  # contiguous: a strided column rounds eta @ H differently
     else:
-        eta_flat = as_vector(eta_override, "eta")
-        if eta_flat.size != k * m:
-            raise ValidationError(f"eta must have {k * m} entries, got {eta_flat.size}")
+        eta_flat = _override(eta_override, ((k, m), (k * m,)), "eta")
         if float(np.linalg.norm(eta_flat)) == 0.0:
             raise ValidationError("eta must be nonzero")
         eta_flat = _project_to_kernel(eta_flat, K)
@@ -334,9 +328,7 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
         )
 
     if zeta_override is not None:
-        zeta = as_vector(zeta_override, "zeta")
-        if zeta.size != n:
-            raise ValidationError(f"zeta must have {n} entries, got {zeta.size}")
+        zeta = _override(zeta_override, ((n,),), "zeta")
     else:
         zeta = np.zeros(n)
         zeta[-1] = 1.0
@@ -368,7 +360,12 @@ def _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert):
     if not is_controllable(A, zeta.reshape(-1, 1), rtol)[0]:
         return "(A, zeta) is not controllable"
 
-    E_desc, B, x0, states = _recursion_and_state(A, zeta, eta, u.samples, n, m, L)
+    E_desc = _recursion(A, zeta, eta)
+    B, k = E_desc[-1], n + L
+    x0 = np.zeros(n)
+    for i in range(min(k - 1, T)):  # u is zero past T
+        x0 -= E_desc[k - 1 - i] @ u.samples[i]  # E_desc[k-1-i] is E_i
+    states = simulate(StateSpaceSystem.from_state_pair(A, B), x0, u).x.samples[:T - L + 1]
 
     cf = _closed_form_states(A, zeta, eta, E_desc, u.samples, n, m, L)
     scale_x = 1.0 + float(np.abs(states).max())
@@ -376,28 +373,23 @@ def _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert):
     if closed_form_residual > 1e-8:
         return f"closed-form trajectory residual {closed_form_residual:.3e}"
 
+    powers = _krylov(A, zeta, n)
     try:
-        xi = _solve_xi(A, zeta, n)
+        xi = _solve_xi(powers)
     except ConstructionError as exc:
         return str(exc)
-    xi_orth = 0.0
-    power = zeta.copy()
-    for _ in range(n - 1):
-        xi_orth = max(xi_orth, abs(float(xi @ power)))
-        power = A @ power
+    xi_orth = max((abs(float(xi @ power)) for power in powers[:-1]), default=0.0)
     if xi_orth > 1e-6 * (1.0 + float(np.abs(xi).max())):
         return f"xi orthogonality residual {xi_orth:.3e}"
 
     # v stacks E_0..E_{L-1} applied to xi; (v, w) scaled to unit w.
-    def E_at(i):
-        return E_desc[n + L - 1 - i]
-
-    v_raw = np.concatenate([E_at(i).T @ xi for i in range(L)]) if L else np.zeros(0)
+    v_raw = np.concatenate([E_desc[k - 1 - i].T @ xi for i in range(L)]) if L else np.zeros(0)
     norm_xi = float(np.linalg.norm(xi))
     w = xi / norm_xi
     v = v_raw / norm_xi
 
-    stacked = _stacked_matrix(u, states, L)
+    x_rows = states.T.copy()  # C order: an F-ordered stack rounds the residual product differently
+    stacked = np.vstack([hankel(u, L), x_rows]) if L else x_rows
     residual = float(np.abs(np.concatenate([v, w]) @ stacked).max())
     budget = tol_cert * (1.0 + float(np.abs(states).max())) * (T - L + 1)
     if residual > budget:
@@ -436,20 +428,22 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
                           A=None, zeta=None) -> CounterexampleCertificate:
     """Build and verify a counterexample for a non-exciting input.
 
-    Requires that u is not persistently exciting of order n+L. By
-    default A is a Jordan block J(lambda0), scanned over the candidates
-    0, 1/2, -1/2, 1/4, ..., -15/16 that are not common roots of eta, and
-    zeta is the last basis vector; then the last row of B is
+    Requires that u is not persistently exciting of order n+L, as
+    ``signals.is_pe`` decides it (the report ``peu pe --order n+L``
+    gives). By default A is a Jordan block J(lambda0), scanned over the
+    candidates 0, 1/2, -1/2, 1/4, ..., -15/16 that are not common roots
+    of eta, and zeta is the last basis vector; then the last row of B is
     eta(lambda0)^T, so (A, B) is controllable exactly when lambda0 is
     not a common root. ``eta``, ``A`` and ``zeta`` accept overrides (a
-    supplied eta is snapped onto the actual kernel). With T < n+L every
-    eta is a kernel vector and the default is e_1, which gives A = J(0)
-    and B = [e_n, 0, ..., 0]. Every certificate is verified before
-    return: annihilation residual within the scaled budget, (A, zeta)
-    and (A, B) controllable by the PBH test, stacked matrix deficient.
+    supplied eta, (n+L, m) or flat, is snapped onto the actual kernel;
+    a supplied zeta has shape (n,)). With T < n+L every eta is a kernel
+    vector and the default is e_1, which gives A = J(0) and
+    B = [e_n, 0, ..., 0]. Every certificate is verified before return:
+    annihilation residual within the scaled budget, (A, zeta) and
+    (A, B) controllable by the PBH test, stacked matrix deficient.
 
     Raises:
-        ValidationError: an override has the wrong size or eta is far
+        ValidationError: an override has the wrong shape or eta is far
             from the kernel.
         PersistentlyExcitingError: the input is exciting of order n+L.
         ConstructionError: no eigenvalue candidate produced a verifiable
@@ -482,31 +476,27 @@ def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
 
 
 def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
-                     tol_cert=TOL_CERT, p=1) -> OutputCounterexample:
+                     tol_cert=TOL_CERT) -> OutputCounterexample:
     """Lift a state-level certificate to an output-level counterexample.
 
-    Builds the system (A, B, C, 0) whose first output row is w (rows
-    2..p zero-padded), simulates the certified experiment, and exhibits
-    a behavior element outside the data span: zero input from the
-    initial state w/||w||^2 separates with value 1. The negative
+    Builds the single-output system (A, B, w^T, 0), simulates the
+    certified experiment, and exhibits a behavior element outside the
+    data span: zero input from the initial state w/||w||^2 separates
+    with value 1. The negative
     behavior-equality verdict is re-checked independently: the data rank
     falls short of the behavior dimension.
     """
     if cert.L < 1:
         raise ValidationError("output-level extension needs L >= 1")
-    if p < 1:
-        raise ValidationError("p must be positive")
     u = as_signal(u)
     if u.dim != cert.m or u.length != cert.T:
         raise ValidationError("input signal does not match the certificate")
 
     n, m, L = cert.n, cert.m, cert.L
-    C = np.zeros((p, n))
-    C[0] = cert.w
-    sys = StateSpaceSystem(cert.A, cert.B, C, np.zeros((p, m)))
+    sys = StateSpaceSystem(cert.A, cert.B, cert.w.reshape(1, n), np.zeros((1, m)))
     y = simulate(sys, cert.x0, u).y
 
-    annihilator = np.zeros(L * m + L * p)
+    annihilator = np.zeros(L * m + L)
     annihilator[: L * m] = cert.v
     annihilator[L * m] = 1.0
     Huy = np.vstack([hankel(u, L), hankel(y, L)])

@@ -348,8 +348,9 @@ def cmd_counterexample(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "certificate.json"),
                {**cert.to_dict(), "config": cfg.to_dict()})
-    write_json(os.path.join(args.out, "system.json"), cert.state_pair().to_dict())
-    traj = simulate(cert.state_pair(), cert.x0, u_used)
+    pair = cert.state_pair()
+    write_json(os.path.join(args.out, "system.json"), pair.to_dict())
+    traj = simulate(pair, cert.x0, u_used)
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                          traj.u, traj.x, traj.y, cfg)
     sys.stdout.write(

@@ -32,6 +32,18 @@ __all__ = [
 ]
 
 
+def _pair(A, B):
+    """(A, B) as matrices, refused unless A is square and B has as many rows."""
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValidationError(f"A must be square, got {A.shape}")
+    if B.shape[0] != n:
+        raise ValidationError(f"B must be {n}xm, got {B.shape}")
+    return A, B
+
+
 @dataclass(frozen=True)
 class StateSpaceSystem:
     """Quadruple (A, B, C, D) with shapes (n,n), (n,m), (p,n), (p,m)."""
@@ -42,15 +54,10 @@ class StateSpaceSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
+        A, B = _pair(self.A, self.B)
         C = as_matrix(self.C, "C")
         D = as_matrix(self.D, "D")
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValidationError(f"A must be square, got {A.shape}")
-        if B.ndim != 2 or B.shape[0] != n:
-            raise ValidationError(f"B must be {n}xm, got {B.shape}")
         if C.shape[1] != n:
             raise ValidationError(f"C must be px{n}, got {C.shape}")
         if D.shape != (C.shape[0], B.shape[1]):
@@ -63,8 +70,7 @@ class StateSpaceSystem:
     @classmethod
     def from_state_pair(cls, A, B) -> "StateSpaceSystem":
         """System whose output is the full state: (A, B, I, 0)."""
-        A = as_matrix(A, "A")
-        B = as_matrix(B, "B")
+        A, B = _pair(A, B)
         n = A.shape[0]
         return cls(A, B, np.eye(n), np.zeros((n, B.shape[1])))
 
@@ -143,14 +149,10 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
 
 
 def controllability_matrix(A, B) -> np.ndarray:
-    """Kalman matrix [B, AB, ..., A^(n-1) B]; B must have n rows."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise ValidationError(f"B must have {n} rows, got {B.shape}")
+    """Kalman matrix [B, AB, ..., A^(n-1) B]; A must be square and B have n rows."""
+    A, B = _pair(A, B)
     blocks = [B]
-    for _ in range(n - 1):
+    for _ in range(len(A) - 1):
         blocks.append(A @ blocks[-1])
     return np.hstack(blocks)
 
@@ -165,10 +167,9 @@ def is_controllable(A, B, rtol=RTOL):
     a 30 x 30 Jordan block's by ~eps**(1/30)). The report is the
     weakest eigenvalue's; there is none when n = 0.
     """
-    pair = StateSpaceSystem.from_state_pair(A, B)  # validates the shapes
-    A, B, n = pair.A, pair.B, pair.n
+    A, B = _pair(A, B)
     eigs = np.diag(A) if not np.tril(A, -1).any() else np.linalg.eigvals(A)
-    I, Z = np.eye(n), np.zeros_like(B)
+    I, Z = np.eye(len(A)), np.zeros_like(B)
     reports = []
     for lam in np.unique(eigs[eigs.imag >= 0]):
         a, b = lam.real, lam.imag

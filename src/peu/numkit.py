@@ -13,9 +13,9 @@ absolute floor ``atol``. ``rank_report(M, shape=...)`` decides for a
 larger matrix whose singular values M shares (``signals.pe_order`` passes
 a small factor of each Hankel matrix): tolerance and report use that shape.
 ``kernel_basis`` keeps the SVD's order, so its last column is the
-best-annihilating unit vector: one call both decides whether a kernel
-exists and supplies that vector; its SVD of a tall matrix is thin, since
-only the right singular vectors are read. Every SVD goes through
+best-annihilating unit vector. Its SVD (``_right_svd``, thin for a tall
+matrix) also gives the construction's kernel, whose rank ``signals.is_pe``
+decides. Every SVD goes through
 ``_svd``, which retries on the transpose where LAPACK does not converge.
 ``lambda_set`` holds the common roots of a vector polynomial implicitly
 and decides membership by evaluating the polynomial.
@@ -202,11 +202,18 @@ def kernel_basis(M, rtol=RTOL):
     """
     A = as_matrix(M)
     _check_rtol(rtol)
-    # thin where rows >= cols: vh is square either way, and a tall A's full U
-    # would be a rows x rows array that is never read
-    _, s, vh = _svd(A, full_matrices=A.shape[0] < A.shape[1])  # vh = I where A has no entries
+    s, vh = _right_svd(A)
     rank = int(np.sum(s > _tolerance(float(s[0]) if s.size else 0.0, A.shape, rtol)))
     return vh[rank:].T.copy()
+
+
+def _right_svd(A):
+    """Singular values and square vh of ``A`` (vh = I where A has no entries).
+
+    Thin where rows >= cols: a tall A's full U is rows x rows and never read.
+    """
+    _, s, vh = _svd(A, full_matrices=A.shape[0] < A.shape[1])
+    return s, vh
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from peu import (
     single_input_family,
     universality_verdict,
 )
-from peu.adversary import _closed_form_states, _jordan_block, _recursion_and_state
+from peu.adversary import _closed_form_states, _jordan_block, _recursion
 from peu.defaults import RTOL
 from peu.numkit import lambda_set, rank_report
 from peu.signals import hankel
@@ -306,7 +306,7 @@ class TestClosedFormStates:
              else _jordan_block(pole, n))
         zeta, eta = rng.standard_normal(n), rng.standard_normal((k, m))
         u = rng.standard_normal((T, m))
-        E_desc, _, _, _ = _recursion_and_state(A, zeta, eta, u, n, m, L)
+        E_desc = _recursion(A, zeta, eta)
         cf = _closed_form_states(A, zeta, eta, E_desc, u, n, m, L)
         ref = closed_form_states_loop(A, zeta, eta, E_desc, u, n, m, L)
         assert cf.shape == ref.shape == (T - L + 1, n)
@@ -362,15 +362,6 @@ class TestExtendToOutput:
         out = extend_to_output(cert, u2)
         # D = 0: the first witness output needs no dynamics at all
         assert out.witness_y.samples[0, 0] == float(cert.w @ out.witness_x0)
-
-    def test_padded_outputs(self):
-        u, _ = non_exciting_input(np.random.default_rng(23), 2, 1, 1, 6)
-        cert = construct_certificate(u, 2, 1)
-        out = extend_to_output(cert, u, p=3)
-        assert out.sys.p == 3
-        assert not out.sys.C[1:].any()
-        assert out.annihilator.size == 1 * 1 + 1 * 3
-        assert not out.behavior_check.behavior_equal
 
     def test_depth_zero_unsupported(self):
         u, _ = non_exciting_input(np.random.default_rng(29), 2, 1, 0, 6)
@@ -603,3 +594,46 @@ class TestFuzz:
             out = extend_to_output(cert, u)
             assert abs(out.separation_value - 1.0) <= 1e-7
             assert not out.behavior_check.behavior_equal
+
+
+_U8 = Signal(np.ones((8, 1)))  # constant: PE of order 1 only
+
+
+def _mismatched_extension():
+    cert = construct_certificate(_U8, 2, 1)
+    return extend_to_output(cert, Signal(np.ones((9, 1))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: construct_certificate(_U8, 0, 1), "n must be positive"),
+    (lambda: construct_certificate(_U8, 2, 0), "L=0 out of range"),
+    (lambda: construct_certificate(_U8, 2, 9), "L=9 out of range"),
+    (lambda: construct_certificate_l0(_U8, 0), "n must be positive"),
+    (lambda: construct_certificate_l0(Signal([1.0]), 2), "need at least two samples"),
+    (lambda: single_input_family(Signal(np.ones((8, 2))), 2, 1, np.eye(2), [1.0, 1.0]),
+     "requires m = 1"),
+    (lambda: single_input_family(_U8, 0, 1, np.eye(2), [1.0, 1.0]), "n must be positive"),
+    (lambda: single_input_family(_U8, 2, 9, np.eye(2), [1.0, 1.0]), "L=9 out of range"),
+    (lambda: single_input_family(_U8, 2, 1, np.eye(3), [1.0, 1.0]), "A must be 2x2"),
+    (lambda: single_input_family(_U8, 2, 1, np.eye(2), [1.0, 1.0, 1.0]),
+     "B must have 2 entries"),
+    (lambda: single_input_family(_U8, 2, 1, np.eye(2), [0.0, 0.0]), "B must be nonzero"),
+    (lambda: sample_system_cloud(_U8, 0, [[0.5, 1.0]]), "L=0 out of range"),
+    (lambda: construct_certificate(_U8, 2, 1, eta=np.ones(4)),
+     "eta must have shape (3, 1) or (3,), got (4,)"),
+    # n+L = 4, m = 2: eight entries, but not in an (n+L, m) layout
+    (lambda: construct_certificate(Signal(np.ones((8, 2))), 3, 1, eta=np.ones((2, 2, 2))),
+     "eta must have shape (4, 2) or (8,), got (2, 2, 2)"),
+    (lambda: construct_certificate(_U8, 2, 1, zeta=np.ones((1, 2))),
+     "zeta must have shape (2,), got (1, 2)"),
+    (lambda: construct_certificate(_U8, 2, 1, zeta=np.ones(3)),
+     "zeta must have shape (2,), got (3,)"),
+    (lambda: construct_certificate(_U8, 2, 1, A=np.eye(3)), "A must be 2x2"),
+    (_mismatched_extension, "input signal does not match the certificate"),
+], ids=["n", "L-low", "L-high", "l0-n", "l0-length", "family-m", "family-n", "family-L",
+        "family-A", "family-B-size", "family-B-zero", "cloud-L", "eta-size", "eta-shape",
+        "zeta-row", "zeta-size", "A-shape", "extension-signal"])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert message in str(info.value)

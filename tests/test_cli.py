@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peu import Signal, construct_certificate, hankel, is_controllable, simulate
+from peu import (
+    ConstructionError,
+    PersistentlyExcitingError,
+    Signal,
+    construct_certificate,
+    hankel,
+    is_controllable,
+    is_pe,
+    pe_order,
+    simulate,
+    universality_verdict,
+)
 from peu.cli import (
     EXIT_CONSTRUCTION,
     EXIT_FALSE,
@@ -452,6 +463,62 @@ class TestCounterexample:
         assert rewritten == path.read_text()
 
 
+class TestOneExcitationVerdict:
+    """Inputs at the tolerance of the order-(n+L) decision get one answer from every verb.
+
+    u = u0 + eps g, with u0 two tones (PE order 2 for m = 2, 4 for m = 1)
+    and g Gaussian. eps is bisected to the boundary of ``pe_order``'s
+    order-(n+L) entry, so the inputs sit at the tolerance whatever the
+    BLAS. The grid around it is finer than the rounding of the singular
+    values, where two separate factorizations of H_{n+L}(u) disagree.
+    """
+
+    n, L = 3, 2
+
+    def margin_inputs(self, count=4):
+        k = self.n + self.L
+        for seed in range(count):
+            rng = np.random.default_rng(seed)
+            T, m = int(rng.integers(60, 101)), int(rng.integers(1, 3))
+            t = np.arange(T)[:, None]
+            u0 = np.sin(0.7 * t + np.arange(m)) + 0.5 * np.cos(1.9 * t)
+            g = rng.standard_normal((T, m))
+
+            def exciting(eps):
+                return pe_order(Signal(u0 + eps * g), up_to=k).per_order[-1][1].full_row_rank
+
+            lo, hi = 0.0, 1.0
+            assert not exciting(lo) and exciting(hi)
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (lo, mid) if exciting(mid) else (mid, hi)
+            for j in range(-8, 9):
+                yield Signal(u0 + hi * (1 + j * 2e-11) * g)
+
+    def test_margin_inputs_agree(self, tmp_path, capsys):
+        n, L = self.n, self.L
+        sig = tmp_path / "u.csv"
+        for u in self.margin_inputs():
+            exciting = is_pe(u, n + L)[0]
+            try:
+                construct_certificate(u, n, L)
+                refused = False
+            except PersistentlyExcitingError:
+                refused = True
+            except ConstructionError:
+                refused = False
+            assert refused == exciting
+            try:
+                assert universality_verdict(u, n, L).universal == exciting
+            except ConstructionError:
+                assert not exciting
+            write_signal_csv(str(sig), u, RunConfig())
+            pe = main(["pe", str(sig), "--order", str(n + L), "--out", str(tmp_path / "pe.json")])
+            ce = main(["counterexample", str(sig), "--n", str(n), "--L", str(L),
+                       "--out", str(tmp_path / "ce")])
+            assert pe == (EXIT_OK if exciting else EXIT_FALSE)
+            assert (ce == EXIT_INPUT) == (pe == EXIT_OK), capsys.readouterr().err
+
+
 class TestCloud:
     def test_reference_cloud_verified(self, tmp_path):
         out = tmp_path / "points.csv"
@@ -611,6 +678,65 @@ class TestRunConfigInput:
         assert captured.out == ""
         assert captured.err == "error: seed must be non-negative, got -1\n" * 2
         assert not out.exists()
+
+    def test_non_integer_seed_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PEU_SEED", "1.5")
+        out = tmp_path / "pe.json"
+        assert main(["pe", EX1_INPUT, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: PEU_SEED must be an integer: '1.5'\n"
+        assert not out.exists()
+
+
+_SYS_JSON = '{"A": [[0.5]], "B": [[1]], "C": [[1]], "D": [[0]]}'
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"u": ""}, ["pe", "{u}"], "empty signal file"),
+    ({"u": "t,u1\n0,1\n1,2,3\n"}, ["pe", "{u}"], "row has 3 cells, expected 2"),
+    ({"u": "t,u1\n"}, ["pe", "{u}"], "no samples"),
+    ({"sys": _SYS_JSON, "data": ""}, ["check", "{sys}", "{data}", "--L", "1"],
+     "empty file"),
+    ({"sys": _SYS_JSON, "data": "s,u1,y1\n0,1,1\n"},
+     ["check", "{sys}", "{data}", "--L", "1"], "first column must be t"),
+    ({"sys": _SYS_JSON, "data": "t,u1,z1\n0,1,1\n"},
+     ["check", "{sys}", "{data}", "--L", "1"], "unexpected column z1"),
+    ({"sys": _SYS_JSON, "data": "t,u1,y1\n0,a,1\n"},
+     ["check", "{sys}", "{data}", "--L", "1"], "non-numeric cell"),
+    ({"sys": _SYS_JSON, "data": "t,u1,u2,y1\n0,1,,1\n"},
+     ["check", "{sys}", "{data}", "--L", "1"], "partially filled u row"),
+    ({"sys": _SYS_JSON, "data": "t,u1,x1\n0,1,1\n"},
+     ["check", "{sys}", "{data}", "--L", "1"], "need u and y columns"),
+    ({"sys": "{"}, ["simulate", "{sys}", EX1_INPUT], "invalid JSON"),
+    ({"sys": '{"A": [[0.5]], "B": [[1]], "C": [[1]]}'}, ["simulate", "{sys}", EX1_INPUT],
+     "missing field 'D'"),
+    ({"sys": '{"n": 2, "A": [[0.5]], "B": [[1]], "C": [[1]], "D": [[0]]}'},
+     ["simulate", "{sys}", EX1_INPUT], "declared n=2 does not match matrices"),
+    ({}, ["pe", EX1_INPUT, "--order", "0"], "--order 0 out of range [1, 3]"),
+    ({}, ["pe", EX1_INPUT, "--order", "4"], "--order 4 out of range [1, 3]"),
+    ({}, ["simulate", EX1_SYSTEM, EX1_INPUT, "--x0=1,a"], "--x0 must be comma-separated"),
+    ({}, ["simulate", EX1_SYSTEM, EX1_INPUT, "--x0=1"], "x0 size 1 does not match system n=2"),
+    ({}, ["cloud", EX3_INPUT, "--L", "2", "--ranges", "0,1,1"], "--ranges must be amin,amax"),
+    ({}, ["cloud", EX3_INPUT, "--L", "2", "--samples", "-1"], "--samples must be non-negative"),
+    ({}, ["counterexample", EX1_INPUT, "--n", "2", "--out", "{out}"],
+     "--L is required unless --L0 is given"),
+    ({"eta": json.dumps(np.ones((2, 2, 2)).tolist())},
+     ["counterexample", EX2_INPUT, "--n", "3", "--L", "1", "--override-eta", "{eta}",
+      "--out", "{out}"], "eta must have shape (4, 2) or (8,), got (2, 2, 2)"),
+    ({"zeta": "[[1, 0, 0]]"},
+     ["counterexample", EX2_INPUT, "--n", "3", "--L", "1", "--override-zeta", "{zeta}",
+      "--out", "{out}"], "zeta must have shape (3,), got (1, 3)"),
+], ids=["signal-empty", "signal-ragged", "signal-no-samples", "data-empty", "data-first-column",
+        "data-column", "data-cell", "data-partial-row", "data-no-y", "system-json",
+        "system-field", "system-declared-n", "order-low", "order-high", "x0-text", "x0-size",
+        "ranges", "samples", "missing-L", "eta-shape", "zeta-shape"])
+def test_refused_arguments(tmp_path, capsys, files, argv, message):
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    assert main([arg.format_map(paths) for arg in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 class TestParserReuse:

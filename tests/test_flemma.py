@@ -305,3 +305,30 @@ class TestPrefixScan:
         assert ([(k, r.to_dict()) for k, r in verdict.pe_report.per_order]
                 == [(k, r.to_dict()) for k, r in full.per_order[:min(n + L, cap)]])
         assert verdict.pe_report.max_order == min(full.max_order, n + L)
+
+
+_U6 = Signal(np.arange(6.0))
+_SYS = StateSpaceSystem(np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_rank_condition(_U6, np.zeros((6, 2)), 0, 2), "L=0 out of range"),
+    (lambda: check_rank_condition(_U6, np.zeros((5, 3)), 2, 2), "state dim 3 does not match n=2"),
+    (lambda: check_rank_condition(_U6, np.zeros((6, 2)), 2, 2),
+     "state length 6 must equal T-L+1 = 5"),
+    (lambda: check_behavior_equality(_SYS, np.ones((6, 2)), np.ones(6), 1),
+     "data dimensions do not match the system"),
+    (lambda: check_behavior_equality(_SYS, _U6, np.ones(5), 1),
+     "input and output must have the same length"),
+    (lambda: check_behavior_equality(_SYS, _U6, np.ones(6), 7), "L=7 out of range"),
+    (lambda: check_state_rank(_U6, np.zeros((7, 3)), 2), "state dim 3 does not match n=2"),
+    (lambda: check_state_rank(_U6, np.zeros((6, 2)), 2), "state length 6 must be T+1 = 7"),
+    (lambda: universality_verdict(_U6, 2, 0), "L=0 out of range"),
+    (lambda: universality_verdict(_U6, 0, 1), "n must be positive"),
+], ids=["rank-L", "rank-state-dim", "rank-state-length", "behavior-data-dim",
+        "behavior-length", "behavior-L", "state-rank-dim", "state-rank-length",
+        "universal-L", "universal-n"])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert message in str(info.value)

@@ -170,6 +170,13 @@ class TestControllability:
             with pytest.raises(ValidationError):
                 StateSpaceSystem.from_state_pair(A, B)
 
+    @pytest.mark.parametrize("check", [is_controllable, controllability_matrix,
+                                       StateSpaceSystem.from_state_pair])
+    def test_non_square_state_matrix_rejected(self, check):
+        # one validation for every (A, B) consumer: no numpy matmul error leaks out
+        with pytest.raises(ValidationError, match="A must be square"):
+            check(np.ones((2, 3)), np.ones((2, 1)))
+
 
 def _random_system(seed, n, m, p):
     rng = np.random.default_rng(seed)
@@ -317,3 +324,15 @@ class TestBehaviorBasis:
             coeffs, *_ = np.linalg.lstsq(basis, window, rcond=None)
             resid = np.linalg.norm(basis @ coeffs - window)
             assert resid <= 1e-8 * (1.0 + np.linalg.norm(window))
+
+
+@pytest.mark.parametrize("A, B, C, D, message", [
+    (np.eye(2), np.ones((2, 1)), np.ones((1, 3)), np.zeros((1, 1)), "C must be px2"),
+    (np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((2, 1)), "D must be 1x1"),
+    (np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 2)), "D must be 1x1"),
+    (np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 3)), np.zeros((1, 1)), "A must be square"),
+    (np.eye(2), np.ones((3, 1)), np.ones((1, 2)), np.zeros((1, 1)), "B must be 2xm"),
+], ids=["C-columns", "D-rows", "D-columns", "A-square", "B-rows"])
+def test_refused_system_shapes(A, B, C, D, message):
+    with pytest.raises(ValidationError, match=message):
+        StateSpaceSystem(A, B, C, D)

@@ -47,10 +47,8 @@ print(f"\nindependent rank check: data span {check.data_span_dim}, "
       f"behavior {check.behavior_dim}, equal: {check.behavior_equal}")
 
 # the same experiment scored against the full-state output map tells the
-# same story
-from peu import simulate
-
-full = simulate(cert.state_pair(), cert.x0, u)
+# same story; the certificate keeps the construction's own simulation of it
+full = cert.trajectory
 state_check = check_behavior_equality(cert.state_pair(), u, full.y, L)
 print(f"state-output view: data span {state_check.data_span_dim} "
       f"of {state_check.behavior_dim}, equal: {state_check.behavior_equal}")

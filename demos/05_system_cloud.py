@@ -30,8 +30,9 @@ print(f"example system: a = {pt.a:.4f}, b = {np.round(pt.b, 4)}, "
 
 with open("cloud_points.csv", "w") as fh:
     fh.write("a,b1,b2,x0\n")
-    for p in cloud.points:
-        fh.write(f"{p.a!r},{p.b[0]!r},{p.b[1]!r},{p.x0!r}\n")
+    # plain Python floats: a numpy scalar's repr is "np.float64(...)"
+    for a, (b1, b2), x0 in zip(cloud.a.tolist(), cloud.b.tolist(), cloud.x0.tolist()):
+        fh.write(f"{a!r},{b1!r},{b2!r},{x0!r}\n")
 print("wrote cloud_points.csv (scatter b1 vs b2, or a vs x0, to see the family)")
 
 # the scale direction is exactly linear: doubling the scale doubles (b, x0)

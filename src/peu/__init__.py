@@ -6,7 +6,7 @@ Library layout:
 - ``signals``: finite signals, block-Hankel matrices, excitation orders
 - ``lti``: state-space systems, simulation, controllability, behaviors
 - ``flemma``: fundamental-lemma checks and the universality verdict
-- ``adversary``: constructive counterexamples and certificates
+- ``adversary``: constructive counterexamples, and ``verify`` for their certificates
 - ``cli``: command-line front end and file formats
 """
 
@@ -20,6 +20,7 @@ from .adversary import (
     extend_to_output,
     sample_system_cloud,
     single_input_family,
+    verify,
 )
 from .defaults import RTOL, SEED, TOL_CERT
 from .errors import (
@@ -71,5 +72,5 @@ __all__ = [
     "controllability_matrix", "extend_to_output", "hankel", "is_controllable",
     "is_pe", "kernel_basis", "lambda_set", "pe_order", "rank_report",
     "sample_system_cloud", "simulate", "single_input_family", "stack",
-    "universality_verdict",
+    "universality_verdict", "verify",
 ]

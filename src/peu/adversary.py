@@ -13,12 +13,16 @@ state-level certificate extends to an output-level one (first output
 row = w) showing the data span misses part of the behavior, and
 specializes to a depth-0 variant (state Hankel rank deficiency) and to
 a dense single-input family where the user picks (A, B).
+
+Every certificate passes through one check, ``verify(cert, u)``: the
+construction builds, then verifies, and a certificate rebuilt from its
+JSON verifies the same way.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .flemma import LemmaCheck, check_behavior_equality
-from .lti import StateSpaceSystem, is_controllable, simulate
+from .lti import StateSpaceSystem, Trajectory, is_controllable, simulate
 from .numkit import (
     RankReport,
     _right_svd,
@@ -53,6 +57,7 @@ __all__ = [
     "extend_to_output",
     "single_input_family",
     "sample_system_cloud",
+    "verify",
 ]
 
 
@@ -67,6 +72,12 @@ class CounterexampleCertificate:
     that spec(A) avoids follow from eta:
     ``numkit.lambda_set(cert.eta, cert.rtol)``. (v, w) is stored scaled
     to unit w; xi keeps the raw Krylov solve.
+
+    ``verify`` reads the data fields only (n through tol_cert). The
+    evidence fields hold what it measured when the construction verified
+    the certificate; they default to None, as in a certificate rebuilt
+    from its JSON. ``trajectory`` is the construction's simulation of
+    (A, B, I, 0) from x0 over the whole input; it is not serialized.
     """
 
     n: int
@@ -82,14 +93,21 @@ class CounterexampleCertificate:
     xi: np.ndarray
     v: np.ndarray                  # length L*m
     w: np.ndarray                  # length n, unit norm
-    residual_annihilation: float
-    rank_deficit_confirmed: bool
     short_data_case: bool
     states: np.ndarray             # x(0)..x(T-L) actually certified
-    stacked_rank: RankReport
-    residuals: dict
     rtol: float
     tol_cert: float
+    # evidence, from ``verify``
+    residual_annihilation: float = None
+    rank_deficit_confirmed: bool = False
+    stacked_rank: RankReport = None
+    residuals: dict = None
+    trajectory: Trajectory = field(default=None, compare=False, repr=False)
+
+    @property
+    def annihilation_budget(self) -> float:
+        """Largest |(v, w)^T column| accepted: tol_cert (1 + max|x|) per certified column."""
+        return self.tol_cert * (1.0 + float(np.abs(self.states).max())) * (self.T - self.L + 1)
 
     def state_pair(self) -> StateSpaceSystem:
         """The certified pair as a state-output system (A, B, I, 0)."""
@@ -204,7 +222,8 @@ def _solve_xi(powers):
     try:
         return np.linalg.solve(np.column_stack(powers).T, e_n)
     except np.linalg.LinAlgError as exc:
-        raise ConstructionError(f"Krylov matrix of (A, zeta) is singular: {exc}") from exc
+        raise ConstructionError(f"(A, zeta) is not controllable: its Krylov matrix is "
+                                f"singular ({exc})") from exc
 
 
 def _recursion(A, zeta, eta):
@@ -345,83 +364,111 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
 
     failures = []
     for tag, A in candidates:
-        cert = _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert)
-        if not isinstance(cert, str):
-            return cert
-        failures.append(f"A[{tag}]: {cert}")
+        try:
+            return _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert)
+        except ConstructionError as exc:
+            failures.append(f"A[{tag}]: {exc}")
     raise ConstructionError(
         "numerical construction failed for all eigenvalue candidates: " + "; ".join(failures)
     )
 
 
 def _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert):
-    """One construction attempt; a verified certificate or a failure reason string."""
-    m, T = u.dim, u.length
-    if not is_controllable(A, zeta.reshape(-1, 1), rtol)[0]:
-        return "(A, zeta) is not controllable"
+    """One construction attempt: build the certificate, then ``verify`` it.
 
-    E_desc = _recursion(A, zeta, eta)
-    B, k = E_desc[-1], n + L
-    x0 = np.zeros(n)
-    for i in range(min(k - 1, T)):  # u is zero past T
-        x0 -= E_desc[k - 1 - i] @ u.samples[i]  # E_desc[k-1-i] is E_i
-    states = simulate(StateSpaceSystem.from_state_pair(A, B), x0, u).x.samples[:T - L + 1]
+    The one simulation of the pair gives both the certified states and
+    the certificate's ``trajectory``. States that overflow (an unstable
+    A) fail the attempt. Raises ConstructionError naming the failure.
+    """
+    m, T, k = u.dim, u.length, n + L
+    with np.errstate(over="ignore", invalid="ignore"):
+        E_desc = _recursion(A, zeta, eta)
+        x0 = np.zeros(n)
+        for i in range(min(k - 1, T)):  # u is zero past T
+            x0 -= E_desc[k - 1 - i] @ u.samples[i]  # E_desc[k-1-i] is E_i
+        try:
+            traj = simulate(StateSpaceSystem.from_state_pair(A, E_desc[-1]), x0, u)
+        except ValidationError as exc:
+            raise ConstructionError(f"the pair does not simulate to finite states ({exc})") from exc
 
-    cf = _closed_form_states(A, zeta, eta, E_desc, u.samples, n, m, L)
-    scale_x = 1.0 + float(np.abs(states).max())
-    closed_form_residual = float(np.abs(states - cf).max()) / scale_x
-    if closed_form_residual > 1e-8:
-        return f"closed-form trajectory residual {closed_form_residual:.3e}"
-
-    powers = _krylov(A, zeta, n)
-    try:
-        xi = _solve_xi(powers)
-    except ConstructionError as exc:
-        return str(exc)
-    xi_orth = max((abs(float(xi @ power)) for power in powers[:-1]), default=0.0)
-    if xi_orth > 1e-6 * (1.0 + float(np.abs(xi).max())):
-        return f"xi orthogonality residual {xi_orth:.3e}"
-
+    xi = _solve_xi(_krylov(A, zeta, n))
     # v stacks E_0..E_{L-1} applied to xi; (v, w) scaled to unit w.
     v_raw = np.concatenate([E_desc[k - 1 - i].T @ xi for i in range(L)]) if L else np.zeros(0)
     norm_xi = float(np.linalg.norm(xi))
-    w = xi / norm_xi
-    v = v_raw / norm_xi
+    cert = CounterexampleCertificate(
+        n=n, m=m, L=L, T=T, eta=eta, A=A, zeta=zeta, E=E_desc, B=E_desc[-1], x0=x0, xi=xi,
+        v=v_raw / norm_xi, w=xi / norm_xi, short_data_case=T < k - 1,
+        states=traj.x.samples[:T - L + 1], rtol=rtol, tol_cert=tol_cert, trajectory=traj)
+    residuals, srep = verify(cert, u)
+    return replace(cert, residual_annihilation=residuals["annihilation"],
+                   rank_deficit_confirmed=True, stacked_rank=srep,
+                   residuals={**residuals, "eta_annihilation": eta_residual})
 
+
+def verify(cert: CounterexampleCertificate, u: Signal):
+    """Check a certificate against its input; the measured residuals and stacked rank.
+
+    Reads only the data fields of ``cert``, so a certificate rebuilt from
+    ``certificate.json`` verifies as the constructed one did. ``u`` is
+    the input the states were certified on (for the depth-0 variant, its
+    first T samples). The checks, in order, each against one bound:
+
+    - (A, zeta) is controllable (PBH);
+    - ``closed_form``: the closed-form replay of the trajectory formulas
+      meets the states to 1e-8 relative to 1 + max|x|;
+    - ``xi_orthogonality``: xi is orthogonal to zeta, A zeta, ...,
+      A^(n-2) zeta to 1e-6 (1 + max|xi|);
+    - ``annihilation``: (v, w) kills every column of [H_L(u); H_1(x)]
+      within ``cert.annihilation_budget``;
+    - (A, B) is controllable (PBH; A is cyclic, so this also decides
+      that spec(A) avoids eta's common roots);
+    - that stacked matrix has rank below n + Lm, at a floor anchored to
+      the experiment scale: a state block that is rounding noise
+      relative to u (possible when L = 0) counts as zero.
+
+    Returns ({"annihilation", "closed_form", "xi_orthogonality"}, the
+    stacked matrix's RankReport).
+
+    Raises:
+        ValidationError: u does not have the certificate's T and m.
+        ConstructionError: the first check that fails, with its value
+            and bound.
+    """
+    u = as_signal(u)
+    n, m, L, T, rtol = cert.n, cert.m, cert.L, cert.T, cert.rtol
+    if (u.length, u.dim) != (T, m):
+        raise ValidationError(f"input is {u.length}x{u.dim}, the certificate's is {T}x{m}")
+    A, zeta, xi, states = cert.A, cert.zeta, cert.xi, cert.states
+
+    def controllable(B, name):
+        ok, rep = is_controllable(A, B, rtol)
+        if not ok:
+            raise ConstructionError(f"{name} is not controllable: PBH rank {rep.rank} "
+                                    f"< {rep.shape[0]}")
+
+    def bounded(name, value, bound):
+        if not value <= bound:  # a NaN fails too
+            raise ConstructionError(f"{name} residual {value:.3e} exceeds {bound:.3e}")
+        return value
+
+    controllable(zeta.reshape(-1, 1), "(A, zeta)")
+    cf = _closed_form_states(A, zeta, cert.eta, cert.E, u.samples, n, m, L)
+    closed_form = bounded("closed-form trajectory", float(np.abs(states - cf).max())
+                          / (1.0 + float(np.abs(states).max())), 1e-8)
+    xi_orth = max((abs(float(xi @ power)) for power in _krylov(A, zeta, n)[:-1]), default=0.0)
+    bounded("xi orthogonality", xi_orth, 1e-6 * (1.0 + float(np.abs(xi).max())))
     x_rows = states.T.copy()  # C order: an F-ordered stack rounds the residual product differently
     stacked = np.vstack([hankel(u, L), x_rows]) if L else x_rows
-    residual = float(np.abs(np.concatenate([v, w]) @ stacked).max())
-    budget = tol_cert * (1.0 + float(np.abs(states).max())) * (T - L + 1)
-    if residual > budget:
-        return f"annihilation residual {residual:.3e} exceeds {budget:.3e}"
-
-    # A is cyclic, so this also decides that spec(A) avoids eta's common roots
-    if not is_controllable(A, B, rtol)[0]:
-        return "(A, B) is not controllable"
-
-    # anchor the tolerance to the experiment scale: a state block that is
-    # rounding noise relative to u (possible when L = 0) counts as zero
+    residual = float(np.abs(np.concatenate([cert.v, cert.w]) @ stacked).max())
+    bounded("annihilation", residual, cert.annihilation_budget)
+    controllable(cert.B, "(A, B)")
     floor = rtol * max(stacked.shape) * (1.0 + float(np.abs(u.samples).max()))
     srep = rank_report(stacked, rtol, atol=floor)
     if srep.rank >= n + L * m:
-        return f"stacked matrix rank {srep.rank} is not deficient"
-
-    return CounterexampleCertificate(
-        n=n, m=m, L=L, T=T,
-        eta=eta, A=A, zeta=zeta, E=E_desc, B=B, x0=x0, xi=xi, v=v, w=w,
-        residual_annihilation=residual,
-        rank_deficit_confirmed=True,
-        short_data_case=T < n + L - 1,
-        states=states,
-        stacked_rank=srep,
-        residuals={
-            "annihilation": residual,
-            "eta_annihilation": eta_residual,
-            "closed_form": closed_form_residual,
-            "xi_orthogonality": xi_orth,
-        },
-        rtol=rtol, tol_cert=tol_cert,
-    )
+        raise ConstructionError(f"stacked matrix rank {srep.rank} is not below n + Lm "
+                                f"= {n + L * m}")
+    return {"annihilation": residual, "closed_form": closed_form,
+            "xi_orthogonality": xi_orth}, srep
 
 
 def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=None,
@@ -438,9 +485,9 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
     supplied eta, (n+L, m) or flat, is snapped onto the actual kernel;
     a supplied zeta has shape (n,)). With T < n+L every eta is a kernel
     vector and the default is e_1, which gives A = J(0) and
-    B = [e_n, 0, ..., 0]. Every certificate is verified before return:
-    annihilation residual within the scaled budget, (A, zeta) and
-    (A, B) controllable by the PBH test, stacked matrix deficient.
+    B = [e_n, 0, ..., 0]. Every certificate passes ``verify`` before
+    return; a candidate that fails it, or whose states overflow, is
+    skipped.
 
     Raises:
         ValidationError: an override has the wrong shape or eta is far
@@ -482,9 +529,11 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     Builds the single-output system (A, B, w^T, 0), simulates the
     certified experiment, and exhibits a behavior element outside the
     data span: zero input from the initial state w/||w||^2 separates
-    with value 1. The negative
+    with value 1. The output data are held to the certificate's own
+    ``annihilation_budget``. The negative
     behavior-equality verdict is re-checked independently: the data rank
-    falls short of the behavior dimension.
+    falls short of the behavior dimension. ``cert.trajectory`` is not
+    read, so a certificate rebuilt from its JSON extends as well.
     """
     if cert.L < 1:
         raise ValidationError("output-level extension needs L >= 1")
@@ -501,11 +550,9 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     annihilator[L * m] = 1.0
     Huy = np.vstack([hankel(u, L), hankel(y, L)])
     residual = float(np.abs(annihilator @ Huy).max())
-    budget = tol_cert * (1.0 + float(np.abs(cert.states).max())) * (cert.T - L + 1)
-    if residual > budget:
-        raise ConstructionError(
-            f"output annihilation residual {residual:.3e} exceeds {budget:.3e}"
-        )
+    if residual > cert.annihilation_budget:
+        raise ConstructionError(f"output annihilation residual {residual:.3e} exceeds "
+                                f"{cert.annihilation_budget:.3e}")
 
     witness_x0 = cert.w / float(cert.w @ cert.w)
     witness_u = Signal(np.zeros((L, m)))
@@ -574,8 +621,6 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
     zeta = np.linalg.solve(S, b)
 
     cert = _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert)
-    if isinstance(cert, str):
-        raise ConstructionError(f"single-input construction failed: {cert}")
     if float(np.abs(cert.B - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):
         raise ConstructionError("recursion did not reproduce the supplied B")
     return cert

@@ -338,19 +338,16 @@ def cmd_counterexample(args) -> int:
         if args.L is not None:
             raise ValidationError("--L and --L0 are mutually exclusive")
         cert = adversary.construct_certificate_l0(u, args.n, **kwargs)
-        u_used = u.window(0, u.length - 1)
     else:
         if args.L is None:
             raise ValidationError("--L is required unless --L0 is given")
         cert = adversary.construct_certificate(u, args.n, args.L, **kwargs)
-        u_used = u
 
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "certificate.json"),
                {**cert.to_dict(), "config": cfg.to_dict()})
-    pair = cert.state_pair()
-    write_json(os.path.join(args.out, "system.json"), pair.to_dict())
-    traj = simulate(pair, cert.x0, u_used)
+    write_json(os.path.join(args.out, "system.json"), cert.state_pair().to_dict())
+    traj = cert.trajectory  # the construction's own simulation of the certified pair
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                          traj.u, traj.x, traj.y, cfg)
     sys.stdout.write(

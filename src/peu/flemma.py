@@ -18,7 +18,7 @@ import numpy as np
 
 from .defaults import RTOL, TOL_CERT, TRAJECTORY_RTOL
 from .errors import NotATrajectoryError, ValidationError
-from .lti import StateSpaceSystem, behavior_basis, observability_matrix, simulate
+from .lti import StateSpaceSystem, observability_matrix, simulate
 from .numkit import RankReport, rank_report
 from .signals import PEReport, Signal, as_signal, hankel, pe_order
 
@@ -127,7 +127,8 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
     against the doubled O_T, so time and memory are O(T): no
     (Tp)x(Tm) Toeplitz and no T x T array are built. The data span
     lies in the behavior, so equality is rank H_L(u, y) = Lm + rank O_L
-    (Markovsky and Doerfler, IEEE TAC 2023).
+    (Markovsky and Doerfler, IEEE TAC 2023), the dimension
+    ``lti.behavior_basis`` reports; no basis is built.
     """
     u = as_signal(u)
     y = as_signal(y)
@@ -141,14 +142,14 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
     x = _reconstruct_state(sys, u, y)
     rank_cond = check_rank_condition(u, Signal(x[: u.length - L + 1]), L, sys.n, rtol)
 
-    bb = behavior_basis(sys, L, rtol)
+    behavior_dim = L * sys.m + rank_report(observability_matrix(sys.C, sys.A, L), rtol).rank
     data_rank = rank_report(np.vstack([hankel(u, L), hankel(y, L)]), rtol).rank
     return LemmaCheck(
         L=L,
         rank_condition=rank_cond,
-        behavior_equal=(data_rank == bb.dim),
+        behavior_equal=(data_rank == behavior_dim),
         data_span_dim=data_rank,
-        behavior_dim=bb.dim,
+        behavior_dim=behavior_dim,
     )
 
 

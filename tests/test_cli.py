@@ -833,3 +833,19 @@ class TestArtifactShape:
             main(["pe", EX1_INPUT, "--format", "json"])
         assert exc.value.code == EXIT_INPUT
         assert "--format" in capsys.readouterr().err
+
+
+class TestUnstableOverride:
+    def test_overflowing_states_fail_the_candidate(self, tmp_path, capsys):
+        # A = 2 doubles the state 1200 times: the states overflow, which is a
+        # failed candidate (exit 4), not an input error or a numpy warning
+        sig = tmp_path / "const.csv"
+        write_signal_csv(str(sig), Signal(np.ones(1200)), RunConfig())
+        A_file = tmp_path / "A.json"
+        A_file.write_text("[[2.0]]")
+        bundle = tmp_path / "out"
+        code = main(["counterexample", str(sig), "--n", "1", "--L", "1",
+                     "--override-A", str(A_file), "--out", str(bundle)])
+        assert code == EXIT_CONSTRUCTION
+        assert "A[override]: the pair does not simulate to finite states" in capsys.readouterr().err
+        assert not bundle.exists()

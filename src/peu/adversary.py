@@ -104,10 +104,16 @@ class CounterexampleCertificate:
     residuals: dict = None
     trajectory: Trajectory = field(default=None, compare=False, repr=False)
 
-    @property
-    def annihilation_budget(self) -> float:
-        """Largest |(v, w)^T column| accepted: tol_cert (1 + max|x|) per certified column."""
-        return self.tol_cert * (1.0 + float(np.abs(self.states).max())) * (self.T - self.L + 1)
+    def annihilation_budget(self, u: Signal) -> float:
+        """Largest |(v, w)^T column| accepted on input ``u``.
+
+        tol_cert max(max|u|, max|x|) per certified column: anchored to the
+        experiment's own scale, so a certificate on tiny data is judged as
+        strictly as one on unit data. max|u| counts because the states can
+        be rounding noise relative to u (possible when L = 0).
+        """
+        scale = max(float(np.abs(u.samples).max()), float(np.abs(self.states).max()))
+        return self.tol_cert * scale * (self.T - self.L + 1)
 
     def state_pair(self) -> StateSpaceSystem:
         """The certified pair as a state-output system (A, B, I, 0)."""
@@ -296,7 +302,7 @@ def _project_to_kernel(eta_flat, K):
 
 
 def _kernel_vector(u, k, rtol, eta_override=None):
-    """Left-kernel vector eta of H_k(u), its annihilation residual and common roots.
+    """Left-kernel vector eta of H_k(u) and its common roots.
 
     ``signals.is_pe`` alone decides whether a kernel exists, and u
     exciting of order k is refused. Otherwise its rank r leaves the last
@@ -305,7 +311,7 @@ def _kernel_vector(u, k, rtol, eta_override=None):
     ``eta_override`` ((k, m) or flat) snapped onto the span of K. With
     T < k, H has no columns, r = 0, K is the identity and the default is
     the last unit vector (``_certify`` passes e_1 instead).
-    Returns (eta as a (k, m) array, max |eta^T H|, ``lambda_set`` of eta).
+    Returns (eta as a (k, m) array, ``lambda_set`` of eta).
     """
     T, m = u.length, u.dim
     H, r = np.zeros((k * m, 0)), 0
@@ -318,15 +324,14 @@ def _kernel_vector(u, k, rtol, eta_override=None):
         r = rep.rank
     K = _right_svd(H.T)[1][r:].T.copy()
     if eta_override is None:
-        eta_flat = K[:, -1].copy()  # contiguous: a strided column rounds eta @ H differently
+        eta_flat = K[:, -1].copy()  # contiguous: a strided eta rounds verify's eta^T H differently
     else:
         eta_flat = _override(eta_override, ((k, m), (k * m,)), "eta")
         if float(np.linalg.norm(eta_flat)) == 0.0:
             raise ValidationError("eta must be nonzero")
         eta_flat = _project_to_kernel(eta_flat, K)
-    eta_residual = float(np.abs(eta_flat @ H).max()) if H.shape[1] else 0.0
     eta = eta_flat.reshape(k, m)
-    return eta, eta_residual, lambda_set(eta, rtol)
+    return eta, lambda_set(eta, rtol)
 
 
 def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
@@ -336,15 +341,17 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
     eta is a kernel vector. The default there is e_1: it has no common
     roots, so the scan takes lambda0 = 0, and the recursion gives
     A = J(0), B = [e_n, 0, ..., 0] and x0 = 0.
+
+    eta is not judged here: ``verify`` refuses a candidate built on an
+    eta that misses the kernel (the closed-form replay departs from the
+    simulated states, or the annihilation exceeds its budget), at every
+    input scale. So the one ConstructionError raised here is the summary
+    of every candidate's failure.
     """
     k = n + L
     if eta_override is None and u.length < k:
         eta_override = np.eye(k * u.dim)[0]
-    eta, eta_residual, lam = _kernel_vector(u, k, rtol, eta_override)
-    if eta_override is None and eta_residual > tol_cert * float(np.linalg.norm(eta)):
-        raise ConstructionError(
-            f"kernel vector annihilates the input Hankel matrix only to {eta_residual:.3e}"
-        )
+    eta, lam = _kernel_vector(u, k, rtol, eta_override)
 
     if zeta_override is not None:
         zeta = _override(zeta_override, ((n,),), "zeta")
@@ -365,7 +372,7 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
     failures = []
     for tag, A in candidates:
         try:
-            return _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert)
+            return _try_build(u, n, L, A, zeta, eta, rtol, tol_cert)
         except ConstructionError as exc:
             failures.append(f"A[{tag}]: {exc}")
     raise ConstructionError(
@@ -373,7 +380,7 @@ def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
     )
 
 
-def _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert):
+def _try_build(u, n, L, A, zeta, eta, rtol, tol_cert):
     """One construction attempt: build the certificate, then ``verify`` it.
 
     The one simulation of the pair gives both the certified states and
@@ -401,8 +408,7 @@ def _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert):
         states=traj.x.samples[:T - L + 1], rtol=rtol, tol_cert=tol_cert, trajectory=traj)
     residuals, srep = verify(cert, u)
     return replace(cert, residual_annihilation=residuals["annihilation"],
-                   rank_deficit_confirmed=True, stacked_rank=srep,
-                   residuals={**residuals, "eta_annihilation": eta_residual})
+                   rank_deficit_confirmed=True, stacked_rank=srep, residuals=residuals)
 
 
 def verify(cert: CounterexampleCertificate, u: Signal):
@@ -419,15 +425,19 @@ def verify(cert: CounterexampleCertificate, u: Signal):
     - ``xi_orthogonality``: xi is orthogonal to zeta, A zeta, ...,
       A^(n-2) zeta to 1e-6 (1 + max|xi|);
     - ``annihilation``: (v, w) kills every column of [H_L(u); H_1(x)]
-      within ``cert.annihilation_budget``;
+      within ``cert.annihilation_budget(u)``;
     - (A, B) is controllable (PBH; A is cyclic, so this also decides
       that spec(A) avoids eta's common roots);
     - that stacked matrix has rank below n + Lm, at a floor anchored to
       the experiment scale: a state block that is rounding noise
       relative to u (possible when L = 0) counts as zero.
 
-    Returns ({"annihilation", "closed_form", "xi_orthogonality"}, the
-    stacked matrix's RankReport).
+    ``eta_annihilation``, max |eta^T H_{n+L}(u)| (0.0 when T < n+L), is
+    measured, not bounded: an eta off the kernel already fails the
+    closed-form replay or the annihilation.
+
+    Returns ({"annihilation", "closed_form", "xi_orthogonality",
+    "eta_annihilation"}, the stacked matrix's RankReport).
 
     Raises:
         ValidationError: u does not have the certificate's T and m.
@@ -460,15 +470,17 @@ def verify(cert: CounterexampleCertificate, u: Signal):
     x_rows = states.T.copy()  # C order: an F-ordered stack rounds the residual product differently
     stacked = np.vstack([hankel(u, L), x_rows]) if L else x_rows
     residual = float(np.abs(np.concatenate([cert.v, cert.w]) @ stacked).max())
-    bounded("annihilation", residual, cert.annihilation_budget)
+    bounded("annihilation", residual, cert.annihilation_budget(u))
     controllable(cert.B, "(A, B)")
     floor = rtol * max(stacked.shape) * (1.0 + float(np.abs(u.samples).max()))
     srep = rank_report(stacked, rtol, atol=floor)
     if srep.rank >= n + L * m:
         raise ConstructionError(f"stacked matrix rank {srep.rank} is not below n + Lm "
                                 f"= {n + L * m}")
+    eta_annihilation = (float(np.abs(cert.eta.reshape(-1) @ hankel(u, n + L)).max())
+                        if T >= n + L else 0.0)
     return {"annihilation": residual, "closed_form": closed_form,
-            "xi_orthogonality": xi_orth}, srep
+            "xi_orthogonality": xi_orth, "eta_annihilation": eta_annihilation}, srep
 
 
 def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=None,
@@ -530,7 +542,7 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     certified experiment, and exhibits a behavior element outside the
     data span: zero input from the initial state w/||w||^2 separates
     with value 1. The output data are held to the certificate's own
-    ``annihilation_budget``. The negative
+    ``annihilation_budget(u)``. The negative
     behavior-equality verdict is re-checked independently: the data rank
     falls short of the behavior dimension. ``cert.trajectory`` is not
     read, so a certificate rebuilt from its JSON extends as well.
@@ -550,9 +562,10 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     annihilator[L * m] = 1.0
     Huy = np.vstack([hankel(u, L), hankel(y, L)])
     residual = float(np.abs(annihilator @ Huy).max())
-    if residual > cert.annihilation_budget:
+    budget = cert.annihilation_budget(u)
+    if residual > budget:
         raise ConstructionError(f"output annihilation residual {residual:.3e} exceeds "
-                                f"{cert.annihilation_budget:.3e}")
+                                f"{budget:.3e}")
 
     witness_x0 = cert.w / float(cert.w @ cert.w)
     witness_u = Signal(np.zeros((L, m)))
@@ -604,7 +617,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         raise ValidationError("B must be nonzero")
 
     k = n + L
-    eta, eta_residual, lam = _kernel_vector(u, k, rtol)
+    eta, lam = _kernel_vector(u, k, rtol)
 
     if lam.contains(np.linalg.eigvals(A)).any():
         raise EigenvalueConflictError(
@@ -620,7 +633,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         raise NearSingularError("sum_i eta_i A^i is near-singular; certificate would be unreliable")
     zeta = np.linalg.solve(S, b)
 
-    cert = _try_build(u, n, L, A, zeta, eta, eta_residual, rtol, tol_cert)
+    cert = _try_build(u, n, L, A, zeta, eta, rtol, tol_cert)
     if float(np.abs(cert.B - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):
         raise ConstructionError("recursion did not reproduce the supplied B")
     return cert
@@ -648,7 +661,7 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     if L < 1 or L > u.length:
         raise ValidationError(f"L={L} out of range [1, {u.length}]")
     try:
-        eta, _, lam = _kernel_vector(u, k, rtol)
+        eta, lam = _kernel_vector(u, k, rtol)
     except PersistentlyExcitingError as exc:
         raise PersistentlyExcitingError(
             f"input is persistently exciting of order {k}; the family is empty"

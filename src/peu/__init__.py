@@ -44,7 +44,6 @@ from .lti import (
     StateSpaceSystem,
     Trajectory,
     behavior_basis,
-    controllability_matrix,
     is_controllable,
     simulate,
 )
@@ -69,8 +68,7 @@ __all__ = [
     "UniversalityVerdict", "ValidationError",
     "behavior_basis", "check_behavior_equality", "check_rank_condition",
     "check_state_rank", "construct_certificate", "construct_certificate_l0",
-    "controllability_matrix", "extend_to_output", "hankel", "is_controllable",
-    "is_pe", "kernel_basis", "lambda_set", "pe_order", "rank_report",
-    "sample_system_cloud", "simulate", "single_input_family", "stack",
-    "universality_verdict", "verify",
+    "extend_to_output", "hankel", "is_controllable", "is_pe", "kernel_basis",
+    "lambda_set", "pe_order", "rank_report", "sample_system_cloud", "simulate",
+    "single_input_family", "stack", "universality_verdict", "verify",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .defaults import RTOL, TOL_CERT
+from .defaults import COND_MAX, REPLAY_RTOL, RTOL, TOL_CERT, XI_RTOL
 from .errors import (
     ConstructionError,
     EigenvalueConflictError,
@@ -104,16 +104,18 @@ class CounterexampleCertificate:
     residuals: dict = None
     trajectory: Trajectory = field(default=None, compare=False, repr=False)
 
-    def annihilation_budget(self, u: Signal) -> float:
-        """Largest |(v, w)^T column| accepted on input ``u``.
+    def scale(self, u: Signal) -> float:
+        """The data's scale max(max|u|, max|x|), which every data bound is relative to.
 
-        tol_cert max(max|u|, max|x|) per certified column: anchored to the
-        experiment's own scale, so a certificate on tiny data is judged as
-        strictly as one on unit data. max|u| counts because the states can
-        be rounding noise relative to u (possible when L = 0).
+        Anchored to the experiment itself, so a certificate on tiny data is
+        judged as strictly as one on unit data. max|u| counts because the
+        states can be rounding noise relative to u (possible when L = 0).
         """
-        scale = max(float(np.abs(u.samples).max()), float(np.abs(self.states).max()))
-        return self.tol_cert * scale * (self.T - self.L + 1)
+        return max(float(np.abs(u.samples).max()), float(np.abs(self.states).max()))
+
+    def annihilation_budget(self, u: Signal) -> float:
+        """Largest |(v, w)^T column| accepted on input ``u``: tol_cert scale per column."""
+        return self.tol_cert * self.scale(u) * (self.T - self.L + 1)
 
     def state_pair(self) -> StateSpaceSystem:
         """The certified pair as a state-output system (A, B, I, 0)."""
@@ -221,8 +223,6 @@ def _krylov(A, zeta, count):
 def _solve_xi(powers):
     """xi with xi^T A^i zeta = 0 for i < n-1 and xi^T A^(n-1) zeta = 1, from ``_krylov``."""
     n = len(powers)
-    if n == 1:
-        return np.array([1.0])
     e_n = np.zeros(n)
     e_n[-1] = 1.0
     try:
@@ -411,33 +411,46 @@ def _try_build(u, n, L, A, zeta, eta, rtol, tol_cert):
                    rank_deficit_confirmed=True, stacked_rank=srep, residuals=residuals)
 
 
+def _bounded(name, value, bound):
+    """``value``, or ConstructionError naming the residual when it exceeds ``bound``."""
+    if not value <= bound:  # a NaN fails too
+        raise ConstructionError(f"{name} residual {value:.3e} exceeds {bound:.3e}")
+    return value
+
+
 def verify(cert: CounterexampleCertificate, u: Signal):
     """Check a certificate against its input; the measured residuals and stacked rank.
 
     Reads only the data fields of ``cert``, so a certificate rebuilt from
     ``certificate.json`` verifies as the constructed one did. ``u`` is
     the input the states were certified on (for the depth-0 variant, its
-    first T samples). The checks, in order, each against one bound:
+    first T samples). Each bound is relative (``defaults``): data
+    residuals to ``cert.scale(u)`` = max(max|u|, max|x|), model residuals
+    to their own matrices. The checks, in order:
 
     - (A, zeta) is controllable (PBH);
     - ``closed_form``: the closed-form replay of the trajectory formulas
-      meets the states to 1e-8 relative to 1 + max|x|;
+      meets x0 and the states to REPLAY_RTOL scale;
     - ``xi_orthogonality``: xi is orthogonal to zeta, A zeta, ...,
-      A^(n-2) zeta to 1e-6 (1 + max|xi|);
+      A^(n-2) zeta to XI_RTOL max|xi| max|A^i zeta|;
+    - w has unit norm, to REPLAY_RTOL;
     - ``annihilation``: (v, w) kills every column of [H_L(u); H_1(x)]
-      within ``cert.annihilation_budget(u)``;
+      within ``cert.annihilation_budget(u)`` = tol_cert scale (T-L+1);
     - (A, B) is controllable (PBH; A is cyclic, so this also decides
       that spec(A) avoids eta's common roots);
-    - that stacked matrix has rank below n + Lm, at a floor anchored to
-      the experiment scale: a state block that is rounding noise
-      relative to u (possible when L = 0) counts as zero.
+    - B = A E_0 + zeta eta_0^T, the recursion's last step, to REPLAY_RTOL
+      max|A E_0 + zeta eta_0^T|;
+    - that stacked matrix has rank below n + Lm, at a floor of rtol
+      max(shape) scale: a state block that is rounding noise relative to
+      u (possible when L = 0) counts as zero.
 
     ``eta_annihilation``, max |eta^T H_{n+L}(u)| (0.0 when T < n+L), is
     measured, not bounded: an eta off the kernel already fails the
     closed-form replay or the annihilation.
 
     Returns ({"annihilation", "closed_form", "xi_orthogonality",
-    "eta_annihilation"}, the stacked matrix's RankReport).
+    "eta_annihilation"}, the stacked matrix's RankReport); each residual
+    is the raw value its bound judges.
 
     Raises:
         ValidationError: u does not have the certificate's T and m.
@@ -449,6 +462,7 @@ def verify(cert: CounterexampleCertificate, u: Signal):
     if (u.length, u.dim) != (T, m):
         raise ValidationError(f"input is {u.length}x{u.dim}, the certificate's is {T}x{m}")
     A, zeta, xi, states = cert.A, cert.zeta, cert.xi, cert.states
+    scale = cert.scale(u)
 
     def controllable(B, name):
         ok, rep = is_controllable(A, B, rtol)
@@ -456,24 +470,26 @@ def verify(cert: CounterexampleCertificate, u: Signal):
             raise ConstructionError(f"{name} is not controllable: PBH rank {rep.rank} "
                                     f"< {rep.shape[0]}")
 
-    def bounded(name, value, bound):
-        if not value <= bound:  # a NaN fails too
-            raise ConstructionError(f"{name} residual {value:.3e} exceeds {bound:.3e}")
-        return value
-
     controllable(zeta.reshape(-1, 1), "(A, zeta)")
     cf = _closed_form_states(A, zeta, cert.eta, cert.E, u.samples, n, m, L)
-    closed_form = bounded("closed-form trajectory", float(np.abs(states - cf).max())
-                          / (1.0 + float(np.abs(states).max())), 1e-8)
-    xi_orth = max((abs(float(xi @ power)) for power in _krylov(A, zeta, n)[:-1]), default=0.0)
-    bounded("xi orthogonality", xi_orth, 1e-6 * (1.0 + float(np.abs(xi).max())))
+    replay = max(float(np.abs(states - cf).max()), float(np.abs(cert.x0 - cf[0]).max()))
+    closed_form = _bounded("closed-form trajectory", replay, REPLAY_RTOL * scale)
+    powers = _krylov(A, zeta, n)[:-1]
+    krylov_scale = max((float(np.abs(power).max()) for power in powers), default=0.0)
+    xi_orth = _bounded("xi orthogonality",
+                       max((abs(float(xi @ power)) for power in powers), default=0.0),
+                       XI_RTOL * float(np.abs(xi).max()) * krylov_scale)
+    _bounded("unit w", abs(float(np.linalg.norm(cert.w)) - 1.0), REPLAY_RTOL)
     x_rows = states.T.copy()  # C order: an F-ordered stack rounds the residual product differently
     stacked = np.vstack([hankel(u, L), x_rows]) if L else x_rows
-    residual = float(np.abs(np.concatenate([cert.v, cert.w]) @ stacked).max())
-    bounded("annihilation", residual, cert.annihilation_budget(u))
+    residual = _bounded("annihilation",
+                        float(np.abs(np.concatenate([cert.v, cert.w]) @ stacked).max()),
+                        cert.annihilation_budget(u))
     controllable(cert.B, "(A, B)")
-    floor = rtol * max(stacked.shape) * (1.0 + float(np.abs(u.samples).max()))
-    srep = rank_report(stacked, rtol, atol=floor)
+    B_rec = A @ cert.E[-2] + np.outer(zeta, cert.eta[0])  # as ``_recursion`` computes it
+    _bounded("B recursion", float(np.abs(cert.B - B_rec).max()),
+             REPLAY_RTOL * float(np.abs(B_rec).max()))
+    srep = rank_report(stacked, rtol, atol=rtol * max(stacked.shape) * scale)
     if srep.rank >= n + L * m:
         raise ConstructionError(f"stacked matrix rank {srep.rank} is not below n + Lm "
                                 f"= {n + L * m}")
@@ -541,11 +557,18 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     Builds the single-output system (A, B, w^T, 0), simulates the
     certified experiment, and exhibits a behavior element outside the
     data span: zero input from the initial state w/||w||^2 separates
-    with value 1. The output data are held to the certificate's own
-    ``annihilation_budget(u)``. The negative
-    behavior-equality verdict is re-checked independently: the data rank
-    falls short of the behavior dimension. ``cert.trajectory`` is not
-    read, so a certificate rebuilt from its JSON extends as well.
+    with value 1. w must have unit norm, as ``verify`` requires (so
+    w = 0 is refused before anything is simulated), the output data are
+    held to the certificate's own ``annihilation_budget(u)``, and the
+    separation to 1 within tol_cert. The negative behavior-equality
+    verdict is re-checked independently: the data rank falls short of
+    the behavior dimension. ``cert.trajectory`` is not read, so a
+    certificate rebuilt from its JSON extends as well.
+
+    Raises:
+        ValidationError: L = 0, or u does not match the certificate.
+        ConstructionError: the first check that fails, with its value
+            and bound.
     """
     if cert.L < 1:
         raise ValidationError("output-level extension needs L >= 1")
@@ -554,6 +577,7 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
         raise ValidationError("input signal does not match the certificate")
 
     n, m, L = cert.n, cert.m, cert.L
+    _bounded("unit w", abs(float(np.linalg.norm(cert.w)) - 1.0), REPLAY_RTOL)
     sys = StateSpaceSystem(cert.A, cert.B, cert.w.reshape(1, n), np.zeros((1, m)))
     y = simulate(sys, cert.x0, u).y
 
@@ -561,18 +585,14 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
     annihilator[: L * m] = cert.v
     annihilator[L * m] = 1.0
     Huy = np.vstack([hankel(u, L), hankel(y, L)])
-    residual = float(np.abs(annihilator @ Huy).max())
-    budget = cert.annihilation_budget(u)
-    if residual > budget:
-        raise ConstructionError(f"output annihilation residual {residual:.3e} exceeds "
-                                f"{budget:.3e}")
+    residual = _bounded("output annihilation", float(np.abs(annihilator @ Huy).max()),
+                        cert.annihilation_budget(u))
 
     witness_x0 = cert.w / float(cert.w @ cert.w)
     witness_u = Signal(np.zeros((L, m)))
     witness_y = simulate(sys, witness_x0, witness_u).y
     separation = float(annihilator @ np.concatenate([stack(witness_u), stack(witness_y)]))
-    if abs(separation) < 1.0 - tol_cert:
-        raise ConstructionError(f"separation value {separation:.6f} is not 1")
+    _bounded("separation", abs(separation - 1.0), tol_cert)
 
     behavior_check = check_behavior_equality(sys, u, y, L, rtol)
     if behavior_check.behavior_equal:
@@ -599,6 +619,8 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         EigenvalueConflictError: an eigenvalue of A is a root of the
             kernel polynomial at tolerance rtol.
         NearSingularError: S is too ill-conditioned to invert.
+        ConstructionError: the certificate fails ``verify``, or its B
+            misses the supplied B by more than REPLAY_RTOL max|B|.
     """
     u = as_signal(u)
     if u.dim != 1:
@@ -629,13 +651,13 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
     for i in range(k):
         S += float(eta[i, 0]) * power
         power = power @ A
-    if np.linalg.cond(S) > 1e10:
+    if np.linalg.cond(S) > COND_MAX:
         raise NearSingularError("sum_i eta_i A^i is near-singular; certificate would be unreliable")
     zeta = np.linalg.solve(S, b)
 
     cert = _try_build(u, n, L, A, zeta, eta, rtol, tol_cert)
-    if float(np.abs(cert.B - b.reshape(n, 1)).max()) > 1e-8 * (1.0 + float(np.abs(b).max())):
-        raise ConstructionError("recursion did not reproduce the supplied B")
+    _bounded("B reproduction", float(np.abs(cert.B - b.reshape(n, 1)).max()),
+             REPLAY_RTOL * float(np.abs(b).max()))
     return cert
 
 

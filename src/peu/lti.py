@@ -24,7 +24,6 @@ __all__ = [
     "Trajectory",
     "BehaviorBasis",
     "simulate",
-    "controllability_matrix",
     "is_controllable",
     "observability_matrix",
     "markov_toeplitz",
@@ -146,15 +145,6 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
         x_next += A @ x_t
     y = np.matmul(sys.C, x[:T, :, None])[:, :, 0] + np.matmul(sys.D, U)[:, :, 0]
     return Trajectory(u=u, x=Signal(x), y=Signal(y))
-
-
-def controllability_matrix(A, B) -> np.ndarray:
-    """Kalman matrix [B, AB, ..., A^(n-1) B]; A must be square and B have n rows."""
-    A, B = _pair(A, B)
-    blocks = [B]
-    for _ in range(len(A) - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
 
 
 def is_controllable(A, B, rtol=RTOL):

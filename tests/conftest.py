@@ -153,7 +153,7 @@ def random_controllable_system(rng, n, m, p, cond_cap=1e8, rtol=1e-9):
     rho^T and would swamp any single-tolerance rank decision.
     """
     import peu
-    from peu.lti import controllability_matrix
+    from oracles import controllability_matrix
 
     for _ in range(64):
         A = rng.standard_normal((n, n))

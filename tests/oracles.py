@@ -218,6 +218,14 @@ def observability_loop(C, A, L):
     return np.vstack(blocks)
 
 
+def controllability_matrix(A, B):
+    """Kalman matrix [B, AB, ..., A^(n-1) B], one product per block column."""
+    blocks = [np.atleast_2d(B)]
+    for _ in range(len(A) - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def reconstruct_x0_dense(sys, u_samples, y_samples):
     """Least-squares x0 against the dense (Tp)x(Tm) Toeplitz and O_T by a loop.
 

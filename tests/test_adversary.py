@@ -420,7 +420,9 @@ class TestSingleInputFamily:
         cert = single_input_family(u, 1, 1, np.array([[0.5]]), np.array([2.0]))
         assert cert.x0 == pytest.approx(4.0, abs=1e-12)
         assert cert.B.ravel()[0] == pytest.approx(2.0, abs=1e-12)
-        assert cert.xi.tolist() == [1.0]
+        # zeta = 2 / eta(0.5) = +-4 sqrt(2), and xi^T zeta = 1
+        assert abs(cert.zeta[0]) == pytest.approx(4.0 * np.sqrt(2.0), abs=1e-12)
+        assert float(cert.xi @ cert.zeta) == pytest.approx(1.0, abs=1e-15)
         assert cert.stacked_rank.rank == 1
 
     def test_multi_input_rejected(self):

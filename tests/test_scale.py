@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from peu import ConstructionError, Signal, construct_certificate, extend_to_output, verify
+from peu import (
+    ConstructionError,
+    Signal,
+    construct_certificate,
+    extend_to_output,
+    single_input_family,
+    verify,
+)
 from peu.adversary import _LAMBDA0_CANDIDATES, _jordan_block, _kernel_vector, _try_build
 from peu.cli import EXIT_FALSE, EXIT_OK, RunConfig, main, read_signal_csv, write_signal_csv
 from peu.defaults import RTOL, TOL_CERT
@@ -78,15 +85,27 @@ def test_eta_off_the_kernel_fails_the_build(alpha, n, m, L, T):
         _bent_build(alpha, n, m, L, T, 1e-4)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the closed-form bound is relative to 1 + max|x|, so at small scale "
-                          "an offset of 1e-6 stays within it and within the annihilation budget")
 def test_small_eta_offset_fails_the_build_at_small_scale():
-    """The same offset is refused at scale 1 by the closed-form replay (1e-6 > 1e-8)."""
-    with pytest.raises(ConstructionError, match="^closed-form"):
-        _bent_build(1.0, 3, 2, 2, 20, 1e-6)
-    try:
-        _bent_build(1e-8, 3, 2, 2, 20, 1e-6)
-    except ConstructionError:
-        return
-    raise AssertionError("an eta off the kernel by 1e-6 built at scale 1e-8")
+    """An offset of 1e-6 fails the closed-form replay at scale 1 and at scale 1e-8 alike."""
+    for alpha in (1.0, 1e-8):
+        with pytest.raises(ConstructionError, match="^closed-form"):
+            _bent_build(alpha, 3, 2, 2, 20, 1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-3, 1e-6])
+def test_bent_recursion_is_refused_at_small_scale(alpha):
+    """E_1 scaled by 1 + 1e-6 moves the states by 1e-6 of the data's scale, at every scale."""
+    cert, u = _generic(alpha)
+    bent = list(cert.E)
+    bent[cert.n + cert.L - 2] = cert.E[cert.n + cert.L - 2] * (1.0 + 1e-6)  # E_1
+    with pytest.raises(ConstructionError, match="^closed-form trajectory residual"):
+        verify(dataclasses.replace(cert, E=tuple(bent)), u)
+
+
+@pytest.mark.parametrize("alpha", SCALES)
+def test_single_input_family_reproduces_B_at_every_scale(alpha):
+    """Rescaling u leaves eta, zeta and B as they are, so B is judged on its own scale."""
+    u, _ = non_exciting_input(np.random.default_rng(4), 3, 1, 1, 9)
+    b = np.array([1.0, -2.0, 0.5])
+    cert = single_input_family(Signal(alpha * u.samples), 3, 1, np.diag([0.5, -0.25, 0.125]), b)
+    np.testing.assert_allclose(cert.B.ravel(), b, rtol=1e-8)

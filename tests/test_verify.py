@@ -14,6 +14,7 @@ from peu import (
     ValidationError,
     construct_certificate,
     construct_certificate_l0,
+    extend_to_output,
     verify,
 )
 from peu.cli import EXIT_CONSTRUCTION, EXIT_OK, RunConfig, main, read_signal_csv, write_signal_csv
@@ -113,11 +114,44 @@ class TestTamperedCertificates:
             with pytest.raises(ConstructionError, match="^closed-form trajectory residual"):
                 verify(dataclasses.replace(cert, E=tuple(bent)), u)
 
+    def test_doubled_B_fails_the_recursion(self):
+        cert, u = _generic()
+        doubled = dataclasses.replace(cert, B=2.0 * cert.B, E=(*cert.E[:-1], 2.0 * cert.E[-1]))
+        with pytest.raises(ConstructionError, match="^B recursion residual"):
+            verify(doubled, u)
+
+    def test_shifted_x0_fails_closed_form(self):
+        cert, u = _generic()
+        with pytest.raises(ConstructionError, match="^closed-form trajectory residual 1.000e"):
+            verify(dataclasses.replace(cert, x0=cert.x0 + 1.0), u)
+
+    @pytest.mark.parametrize("factor", [0.0, 1e-12])
+    def test_annihilator_without_unit_w_is_refused(self, factor):
+        cert, u = _generic()
+        shrunk = dataclasses.replace(cert, v=factor * cert.v, w=factor * cert.w)
+        with pytest.raises(ConstructionError, match="^unit w residual"):
+            verify(shrunk, u)
+
     def test_mismatched_input_is_refused(self):
         cert, u = _generic()
         for other in (u.window(0, u.length - 1), Signal(np.ones((u.length, 1)))):
             with pytest.raises(ValidationError, match="the certificate.s is"):
                 verify(cert, other)
+
+
+class TestTamperedCertificatesDoNotExtend:
+    def test_shifted_x0_fails_output_annihilation(self):
+        cert, u = _generic()
+        with pytest.raises(ConstructionError,
+                           match=r"^output annihilation residual 1\.000e\+00 exceeds"):
+            extend_to_output(dataclasses.replace(cert, x0=cert.x0 + 1.0), u)
+
+    @pytest.mark.parametrize("zeroed", [("w",), ("v", "w")], ids=["w", "v_and_w"])
+    def test_zero_w_is_refused(self, zeroed):
+        cert, u = _generic()
+        changed = {name: np.zeros_like(getattr(cert, name)) for name in zeroed}
+        with pytest.raises(ConstructionError, match="^unit w residual"):
+            extend_to_output(dataclasses.replace(cert, **changed), u)
 
 
 class TestOneSimulationPerCandidate:

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .flemma import LemmaCheck, check_behavior_equality
-from .lti import StateSpaceSystem, Trajectory, is_controllable, simulate
+from .lti import StateSpaceSystem, Trajectory, is_controllable, observability_matrix, simulate
 from .numkit import (
     RankReport,
     _right_svd,
@@ -66,9 +66,10 @@ class CounterexampleCertificate:
     """Full output of one counterexample construction, with its evidence.
 
     ``E`` holds the recursion matrices in descending index order
-    E_{n+L-1}, ..., E_{-1} (so ``E[-1]`` is B). Every data length takes
-    the same construction; ``short_data_case`` marks T < n+L-1, where
-    the state Hankel matrix cannot have full row rank. The common roots
+    E_{n+L-1}, ..., E_{-1}; B is stored only there, and the property
+    ``B`` reads ``E[-1]``. Every data length takes the same
+    construction; ``short_data_case`` marks T < n+L-1, where the state
+    Hankel matrix cannot have full row rank. The common roots
     that spec(A) avoids follow from eta:
     ``numkit.lambda_set(cert.eta, cert.rtol)``. (v, w) is stored scaled
     to unit w; xi keeps the raw Krylov solve.
@@ -88,7 +89,6 @@ class CounterexampleCertificate:
     A: np.ndarray
     zeta: np.ndarray
     E: tuple                       # (E_{n+L-1}, ..., E_{-1}), each (n, m)
-    B: np.ndarray
     x0: np.ndarray
     xi: np.ndarray
     v: np.ndarray                  # length L*m
@@ -103,6 +103,11 @@ class CounterexampleCertificate:
     stacked_rank: RankReport = None
     residuals: dict = None
     trajectory: Trajectory = field(default=None, compare=False, repr=False)
+
+    @property
+    def B(self) -> np.ndarray:
+        """The input matrix, E_{-1}."""
+        return self.E[-1]
 
     def scale(self, u: Signal) -> float:
         """The data's scale max(max|u|, max|x|), which every data bound is relative to.
@@ -403,7 +408,7 @@ def _try_build(u, n, L, A, zeta, eta, rtol, tol_cert):
     v_raw = np.concatenate([E_desc[k - 1 - i].T @ xi for i in range(L)]) if L else np.zeros(0)
     norm_xi = float(np.linalg.norm(xi))
     cert = CounterexampleCertificate(
-        n=n, m=m, L=L, T=T, eta=eta, A=A, zeta=zeta, E=E_desc, B=E_desc[-1], x0=x0, xi=xi,
+        n=n, m=m, L=L, T=T, eta=eta, A=A, zeta=zeta, E=E_desc, x0=x0, xi=xi,
         v=v_raw / norm_xi, w=xi / norm_xi, short_data_case=T < k - 1,
         states=traj.x.samples[:T - L + 1], rtol=rtol, tol_cert=tol_cert, trajectory=traj)
     residuals, srep = verify(cert, u)
@@ -426,11 +431,14 @@ def verify(cert: CounterexampleCertificate, u: Signal):
     the input the states were certified on (for the depth-0 variant, its
     first T samples). Each bound is relative (``defaults``): data
     residuals to ``cert.scale(u)`` = max(max|u|, max|x|), model residuals
-    to their own matrices. The checks, in order:
+    to their own matrices. Each stored fact is judged once: x0 and B by
+    the state recursion, E_0..E_{k-2}, eta, zeta and A by the closed
+    form, xi by its orthogonality, (v, w) by the unit w and the
+    annihilation. The checks, in order:
 
     - (A, zeta) is controllable (PBH);
     - ``closed_form``: the closed-form replay of the trajectory formulas
-      meets x0 and the states to REPLAY_RTOL scale;
+      meets the states to REPLAY_RTOL scale;
     - ``xi_orthogonality``: xi is orthogonal to zeta, A zeta, ...,
       A^(n-2) zeta to XI_RTOL max|xi| max|A^i zeta|;
     - w has unit norm, to REPLAY_RTOL;
@@ -438,8 +446,8 @@ def verify(cert: CounterexampleCertificate, u: Signal):
       within ``cert.annihilation_budget(u)`` = tol_cert scale (T-L+1);
     - (A, B) is controllable (PBH; A is cyclic, so this also decides
       that spec(A) avoids eta's common roots);
-    - B = A E_0 + zeta eta_0^T, the recursion's last step, to REPLAY_RTOL
-      max|A E_0 + zeta eta_0^T|;
+    - the state recursion: the states start at x0 and step by
+      x(t+1) = A x(t) + B u(t), to REPLAY_RTOL scale;
     - that stacked matrix has rank below n + Lm, at a floor of rtol
       max(shape) scale: a state block that is rounding noise relative to
       u (possible when L = 0) counts as zero.
@@ -472,8 +480,8 @@ def verify(cert: CounterexampleCertificate, u: Signal):
 
     controllable(zeta.reshape(-1, 1), "(A, zeta)")
     cf = _closed_form_states(A, zeta, cert.eta, cert.E, u.samples, n, m, L)
-    replay = max(float(np.abs(states - cf).max()), float(np.abs(cert.x0 - cf[0]).max()))
-    closed_form = _bounded("closed-form trajectory", replay, REPLAY_RTOL * scale)
+    closed_form = _bounded("closed-form trajectory", float(np.abs(states - cf).max()),
+                           REPLAY_RTOL * scale)
     powers = _krylov(A, zeta, n)[:-1]
     krylov_scale = max((float(np.abs(power).max()) for power in powers), default=0.0)
     xi_orth = _bounded("xi orthogonality",
@@ -486,9 +494,9 @@ def verify(cert: CounterexampleCertificate, u: Signal):
                         float(np.abs(np.concatenate([cert.v, cert.w]) @ stacked).max()),
                         cert.annihilation_budget(u))
     controllable(cert.B, "(A, B)")
-    B_rec = A @ cert.E[-2] + np.outer(zeta, cert.eta[0])  # as ``_recursion`` computes it
-    _bounded("B recursion", float(np.abs(cert.B - B_rec).max()),
-             REPLAY_RTOL * float(np.abs(B_rec).max()))
+    Bu = np.matmul(cert.B, u.samples[:T - L, :, None])[:, :, 0]  # as ``lti.simulate`` stacks it
+    drift = np.vstack([states[:1] - cert.x0, states[1:] - states[:-1] @ A.T - Bu])
+    _bounded("state recursion", float(np.abs(drift).max()), REPLAY_RTOL * scale)
     srep = rank_report(stacked, rtol, atol=rtol * max(stacked.shape) * scale)
     if srep.rank >= n + L * m:
         raise ConstructionError(f"stacked matrix rank {srep.rank} is not below n + Lm "
@@ -550,19 +558,21 @@ def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
     return _certify(prefix, n, 0, rtol, tol_cert, eta, A, zeta)
 
 
-def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
-                     tol_cert=TOL_CERT) -> OutputCounterexample:
+def extend_to_output(cert: CounterexampleCertificate, u: Signal,
+                     rtol=RTOL) -> OutputCounterexample:
     """Lift a state-level certificate to an output-level counterexample.
 
     Builds the single-output system (A, B, w^T, 0), simulates the
     certified experiment, and exhibits a behavior element outside the
-    data span: zero input from the initial state w/||w||^2 separates
-    with value 1. w must have unit norm, as ``verify`` requires (so
-    w = 0 is refused before anything is simulated), the output data are
-    held to the certificate's own ``annihilation_budget(u)``, and the
-    separation to 1 within tol_cert. The negative behavior-equality
-    verdict is re-checked independently: the data rank falls short of
-    the behavior dimension. ``cert.trajectory`` is not read, so a
+    data span: zero input from the initial state w/||w||^2, whose
+    output y_w(t) = w^T A^t x_w comes from the observability matrix,
+    separates with value y_w(0) = 1 (reported, not bounded: it is 1 to
+    rounding for every unit w). w must have unit norm, as ``verify``
+    requires (so w = 0 is refused before anything is simulated), and
+    the output data are held to the certificate's own
+    ``annihilation_budget(u)``. The negative behavior-equality verdict
+    is re-checked independently: the data rank falls short of the
+    behavior dimension. ``cert.trajectory`` is not read, so a
     certificate rebuilt from its JSON extends as well.
 
     Raises:
@@ -590,9 +600,8 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal, rtol=RTOL,
 
     witness_x0 = cert.w / float(cert.w @ cert.w)
     witness_u = Signal(np.zeros((L, m)))
-    witness_y = simulate(sys, witness_x0, witness_u).y
+    witness_y = Signal(observability_matrix(sys.C, sys.A, L) @ witness_x0)
     separation = float(annihilator @ np.concatenate([stack(witness_u), stack(witness_y)]))
-    _bounded("separation", abs(separation - 1.0), tol_cert)
 
     behavior_check = check_behavior_equality(sys, u, y, L, rtol)
     if behavior_check.behavior_equal:

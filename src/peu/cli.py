@@ -259,14 +259,7 @@ def _load_array_json(path, name):
 
 
 def _config_from_args(args) -> RunConfig:
-    seed, env = args.seed, os.environ.get("PEU_SEED")
-    if seed is None and env:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"PEU_SEED must be an integer: {env!r}") from exc
-    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert,
-                     seed=SEED if seed is None else seed)
+    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert, seed=args.seed)
 
 
 def cmd_pe(args) -> int:
@@ -483,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative rank tolerance (default %(default)g)")
     common.add_argument("--tol-cert", dest="tol_cert", type=float, default=TOL_CERT,
                         help="certificate residual budget (default %(default)g)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=SEED,
                         help="seed of the random draws of cloud and repro "
-                             "(falls back to PEU_SEED, then 0)")
+                             "(default %(default)d)")
 
     parser = argparse.ArgumentParser(
         prog="peu",

@@ -21,12 +21,12 @@ The certificate bounds of ``adversary.verify`` are relative as well,
 each to the scale of what it checks, so data at scale 0 need residuals
 of exactly 0. Residuals of the data (states, annihilation) are judged
 at the data's scale ``CounterexampleCertificate.scale(u)`` =
-max(max|u|, max|x|); residuals of the model (B, xi), which rescaling
-the data leaves unchanged, at the scale of their own matrices.
+max(max|u|, max|x|); residuals of the model (xi, a supplied B), which
+rescaling the data leaves unchanged, at the scale of their own matrices.
 
 - REPLAY_RTOL bounds identities that hold exactly and are evaluated by a
-  second route: the closed-form replay of the states (x0 included), the
-  recursion's last step B = A E_0 + zeta eta_0^T, the unit norm of w, and
+  second route: the closed-form replay of the states, the state
+  recursion x(0) = x0, x(t+1) = A x(t) + B u(t), the unit norm of w, and
   ``single_input_family``'s reproduction of the supplied B. Rounding
   leaves about 1e-15 of the scale; an eta 1e-6 off the kernel moves the
   states by about 1e-6 of it, so 1e-8 separates the two at every scale.
@@ -45,4 +45,4 @@ TRAJECTORY_RTOL = 1e-6  # trajectory test: output residual over ||y|| + ||y_forc
 REPLAY_RTOL = 1e-8     # exact identities replayed by a second route, over their scale
 XI_RTOL = 1e-6         # xi orthogonality, over max|xi| * max|A^i zeta|
 COND_MAX = 1e10        # largest condition number of single_input_family's S
-SEED = 0               # CLI draw seed when neither --seed nor PEU_SEED is given
+SEED = 0               # default of the CLI's --seed

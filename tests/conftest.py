@@ -212,7 +212,7 @@ def certificate_from_json(path):
 
     with open(path) as fh:
         d = json.load(fh)
-    arrays = ("eta", "A", "zeta", "B", "x0", "xi", "v", "w", "states")
+    arrays = ("eta", "A", "zeta", "x0", "xi", "v", "w", "states")
     return peu.CounterexampleCertificate(
         **{key: d[key] for key in ("n", "m", "L", "T", "short_data_case", "rtol", "tol_cert")},
         **{key: np.asarray(d[key], dtype=float) for key in arrays},

@@ -586,15 +586,6 @@ class TestCloud:
         assert capsys.readouterr().err.startswith("error: --ranges")
         assert not out.exists()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("PEU_SEED", "12")
-        main(["cloud", EX3_INPUT, "--L", "2", "--samples", "16", "--out", str(a)])
-        monkeypatch.delenv("PEU_SEED")
-        main(["cloud", EX3_INPUT, "--L", "2", "--samples", "16", "--seed", "12",
-              "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestRepro:
     def test_ex1(self, capsys):
@@ -666,24 +657,6 @@ class TestRunConfigInput:
         assert main(["cloud", EX3_INPUT, "--L", "2", "--samples", "3", "--seed=-1",
                      "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
-        assert not out.exists()
-
-    def test_negative_seed_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PEU_SEED", "-1")
-        out = tmp_path / "points.csv"
-        assert main(["cloud", EX3_INPUT, "--L", "2", "--samples", "3",
-                     "--out", str(out)]) == EXIT_INPUT
-        assert main(["repro", "ex1"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: seed must be non-negative, got -1\n" * 2
-        assert not out.exists()
-
-    def test_non_integer_seed_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PEU_SEED", "1.5")
-        out = tmp_path / "pe.json"
-        assert main(["pe", EX1_INPUT, "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: PEU_SEED must be an integer: '1.5'\n"
         assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import peu.adversary
 import peu.cli
+import peu.flemma
 from peu import (
     ConstructionError,
     Signal,
@@ -17,6 +18,7 @@ from peu import (
     extend_to_output,
     verify,
 )
+from peu.adversary import _closed_form_states
 from peu.cli import EXIT_CONSTRUCTION, EXIT_OK, RunConfig, main, read_signal_csv, write_signal_csv
 
 from conftest import FIXTURES, certificate_from_json, non_exciting_input
@@ -92,7 +94,7 @@ class TestTamperedCertificates:
     def test_zeroed_B_fails_controllability(self):
         cert, u = _generic()
         with pytest.raises(ConstructionError, match=r"^\(A, B\) is not controllable"):
-            verify(dataclasses.replace(cert, B=np.zeros_like(cert.B)), u)
+            verify(dataclasses.replace(cert, E=(*cert.E[:-1], np.zeros_like(cert.B))), u)
 
     def test_scaled_states_fail_closed_form(self):
         cert, u = _generic()
@@ -116,14 +118,39 @@ class TestTamperedCertificates:
 
     def test_doubled_B_fails_the_recursion(self):
         cert, u = _generic()
-        doubled = dataclasses.replace(cert, B=2.0 * cert.B, E=(*cert.E[:-1], 2.0 * cert.E[-1]))
-        with pytest.raises(ConstructionError, match="^B recursion residual"):
+        doubled = dataclasses.replace(cert, E=(*cert.E[:-1], 2.0 * cert.E[-1]))
+        with pytest.raises(ConstructionError, match="^state recursion residual"):
             verify(doubled, u)
 
-    def test_shifted_x0_fails_closed_form(self):
+    def test_B_is_read_from_E(self):
         cert, u = _generic()
-        with pytest.raises(ConstructionError, match="^closed-form trajectory residual 1.000e"):
+        scaled = dataclasses.replace(cert, E=(*cert.E[:-1], 5.0 * cert.E[-1]))
+        assert scaled.B is scaled.E[-1]
+        assert scaled.to_dict()["B"] == scaled.to_dict()["E"][-1]
+        with pytest.raises(ConstructionError, match="^state recursion residual"):
+            verify(scaled, u)
+
+    def test_shifted_x0_fails_the_state_recursion(self):
+        cert, u = _generic()
+        with pytest.raises(ConstructionError, match="^state recursion residual 1.000e"):
             verify(dataclasses.replace(cert, x0=cert.x0 + 1.0), u)
+
+    def test_moved_E_L_with_replayed_states_fails_the_state_recursion(self):
+        """E_L moved by a Delta with w^T Delta = 0, the states and x0 replayed from it.
+
+        The closed form, the annihilation and (A, B) all still hold; only
+        the states no longer follow x(t+1) = A x(t) + B u(t).
+        """
+        cert, u = _generic()
+        n, m, L = cert.n, cert.m, cert.L
+        delta = np.random.default_rng(0).standard_normal((n, m))
+        delta -= np.outer(cert.w, cert.w @ delta)  # w has unit norm
+        moved = list(cert.E)
+        moved[n - 1] = cert.E[n - 1] + delta  # E_L
+        states = _closed_form_states(cert.A, cert.zeta, cert.eta, moved, u.samples, n, m, L)
+        tampered = dataclasses.replace(cert, E=tuple(moved), states=states, x0=states[0].copy())
+        with pytest.raises(ConstructionError, match="^state recursion residual"):
+            verify(tampered, u)
 
     @pytest.mark.parametrize("factor", [0.0, 1e-12])
     def test_annihilator_without_unit_w_is_refused(self, factor):
@@ -173,12 +200,22 @@ class TestOneSimulationPerCandidate:
         monkeypatch.setattr(peu.adversary, "_try_build", counted_try)
         monkeypatch.setattr(peu.adversary, "simulate", counted_simulate)
         monkeypatch.setattr(peu.cli, "simulate", counted_simulate)
+        monkeypatch.setattr(peu.flemma, "simulate", counted_simulate)
         return counts
 
     def test_one_candidate(self, tmp_path, counts):
         assert main(["counterexample", EX1_INPUT, "--n", "2", "--L", "1",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert counts == {"tries": 1, "simulate": 1}
+
+    def test_extended_to_output(self, tmp_path, counts):
+        """The bundle's simulation, then the output data's and the behavior check's own."""
+        out = tmp_path / "o"
+        assert main(["counterexample", EX1_INPUT, "--n", "2", "--L", "1",
+                     "--out", str(out)]) == EXIT_OK
+        extend_to_output(certificate_from_json(out / "certificate.json"),
+                         read_signal_csv(EX1_INPUT))
+        assert counts == {"tries": 1, "simulate": 3}
 
     def test_depth_zero(self, tmp_path, counts):
         sig = _signal_file(tmp_path, "ones.csv", np.ones(6))

@@ -101,5 +101,4 @@ def main(argv=None):
 if __name__ == "__main__":
     for var in BLAS_ENV:
         os.environ[var] = "1"
-    os.environ.pop("PEU_SEED", None)
     sys.exit(main())

@@ -45,7 +45,7 @@ from .numkit import (
     rank_report,
     stacked_deficient,
 )
-from .signals import Signal, as_signal, hankel, is_pe, stack
+from .signals import Signal, as_signal, hankel, is_pe
 
 __all__ = [
     "CounterexampleCertificate",
@@ -65,44 +65,67 @@ __all__ = [
 class CounterexampleCertificate:
     """Full output of one counterexample construction, with its evidence.
 
-    ``E`` holds the recursion matrices in descending index order
-    E_{n+L-1}, ..., E_{-1}; B is stored only there, and the property
-    ``B`` reads ``E[-1]``. Every data length takes the same
-    construction; ``short_data_case`` marks T < n+L-1, where the state
-    Hankel matrix cannot have full row rank. The common roots
-    that spec(A) avoids follow from eta:
+    A certificate is its arrays. ``__post_init__`` reads n = len(A),
+    (n+L, m) = eta.shape and T = len(states) + L - 1 off them, refuses
+    (ValidationError) any array whose shape disagrees, and sets eight
+    attributes that are not fields: ``n``, ``m``, ``L``, ``T``, ``x0`` =
+    states[0], ``short_data_case`` (T < n+L-1, where the state Hankel
+    matrix cannot have full row rank), and the evidence flags
+    ``residual_annihilation`` (from ``residuals``) and
+    ``rank_deficit_confirmed`` (from ``stacked_rank``). ``E`` holds the
+    recursion matrices in descending index order E_{n+L-1}, ...,
+    E_{-1}; B is stored only there, and the property ``B`` reads
+    ``E[-1]``. The common roots that spec(A) avoids follow from eta:
     ``numkit.lambda_set(cert.eta, cert.rtol)``. (v, w) is stored scaled
     to unit w; xi keeps the raw Krylov solve.
 
-    ``verify`` reads the data fields only (n through tol_cert). The
+    ``verify`` reads the data fields only (eta through tol_cert). The
     evidence fields hold what it measured when the construction verified
     the certificate; they default to None, as in a certificate rebuilt
     from its JSON. ``trajectory`` is the construction's simulation of
     (A, B, I, 0) from x0 over the whole input; it is not serialized.
     """
 
-    n: int
-    m: int
-    L: int
-    T: int
     eta: np.ndarray                # (n+L, m), rows eta_0..eta_{n+L-1}
-    A: np.ndarray
-    zeta: np.ndarray
+    A: np.ndarray                  # (n, n)
+    zeta: np.ndarray               # (n,)
     E: tuple                       # (E_{n+L-1}, ..., E_{-1}), each (n, m)
-    x0: np.ndarray
-    xi: np.ndarray
-    v: np.ndarray                  # length L*m
-    w: np.ndarray                  # length n, unit norm
-    short_data_case: bool
-    states: np.ndarray             # x(0)..x(T-L) actually certified
+    xi: np.ndarray                 # (n,)
+    v: np.ndarray                  # (L*m,)
+    w: np.ndarray                  # (n,), unit norm
+    states: np.ndarray             # (T-L+1, n): x(0)..x(T-L) actually certified
     rtol: float
     tol_cert: float
     # evidence, from ``verify``
-    residual_annihilation: float = None
-    rank_deficit_confirmed: bool = False
     stacked_rank: RankReport = None
     residuals: dict = None
     trajectory: Trajectory = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        dims = [np.shape(self.A), np.shape(self.eta), np.shape(self.states)]
+        if any(len(d) != 2 for d in dims):
+            raise ValidationError(f"certificate A, eta and states must be 2-D, got {dims}")
+        (n, _), (k, m), (rows, _) = dims
+        L = k - n
+        if min(n, m, rows) < 1 or L < 0:
+            raise ValidationError(f"certificate needs n, m >= 1, L >= 0 and a state; got n={n}, "
+                                  f"m={m}, L={L} and {rows} states")
+        shapes = {"A": (n, n), "zeta": (n,), "xi": (n,), "v": (L * m,), "w": (n,),
+                  "states": (rows, n)}
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise ValidationError(f"certificate {name} must have shape {shape}, "
+                                      f"got {np.shape(getattr(self, name))}")
+        if len(self.E) != k + 1 or any(np.shape(Ei) != (n, m) for Ei in self.E):
+            raise ValidationError(f"certificate E must be {k + 1} matrices of shape {(n, m)}")
+        srep, residuals = self.stacked_rank, self.residuals
+        for name, value in {
+            "n": n, "m": m, "L": L, "T": rows + L - 1, "x0": self.states[0],
+            "short_data_case": rows < n,  # T < n+L-1
+            "residual_annihilation": None if residuals is None else residuals.get("annihilation"),
+            "rank_deficit_confirmed": srep is not None and srep.rank < n + L * m,
+        }.items():
+            object.__setattr__(self, name, value)
 
     @property
     def B(self) -> np.ndarray:
@@ -127,26 +150,14 @@ class CounterexampleCertificate:
         return StateSpaceSystem.from_state_pair(self.A, self.B)
 
     def to_dict(self):
-        return {
-            "n": self.n, "m": self.m, "L": self.L, "T": self.T,
-            "short_data_case": self.short_data_case,
-            "eta": self.eta.tolist(),
-            "A": self.A.tolist(),
-            "zeta": self.zeta.tolist(),
-            "E": [Ei.tolist() for Ei in self.E],
-            "B": self.B.tolist(),
-            "x0": self.x0.tolist(),
-            "xi": self.xi.tolist(),
-            "v": self.v.tolist(),
-            "w": self.w.tolist(),
-            "residual_annihilation": self.residual_annihilation,
-            "rank_deficit_confirmed": self.rank_deficit_confirmed,
-            "states": self.states.tolist(),
-            "stacked_rank": self.stacked_rank.to_dict(),
-            "residuals": dict(self.residuals),
-            "rtol": self.rtol,
-            "tol_cert": self.tol_cert,
-        }
+        """The 21 keys of ``certificate.json``: the fields, B and the derived attributes."""
+        plain = ("n", "m", "L", "T", "short_data_case", "residual_annihilation",
+                 "rank_deficit_confirmed", "rtol", "tol_cert")
+        arrays = ("eta", "A", "zeta", "B", "x0", "xi", "v", "w", "states")
+        return {**{key: getattr(self, key) for key in plain},
+                **{key: getattr(self, key).tolist() for key in arrays},
+                "E": [Ei.tolist() for Ei in self.E], "stacked_rank": self.stacked_rank.to_dict(),
+                "residuals": dict(self.residuals)}
 
 
 @dataclass(frozen=True)
@@ -154,15 +165,15 @@ class OutputCounterexample:
     """Single-output system on which the certified data misses the behavior.
 
     ``annihilator`` kills every column of the stacked input-output
-    Hankel matrix, while the witness window (zero input from an initial
-    state aligned with w) produces ``separation_value`` = 1 against it,
-    so the data span is a proper subspace of the behavior.
+    Hankel matrix, while the witness window (zero input from the initial
+    state ``witness_x0``, aligned with w) produces ``separation_value`` =
+    y_w(0) = 1 against it, so the data span is a proper subspace of the
+    behavior.
     """
 
     sys: StateSpaceSystem
     y: Signal
     annihilator: np.ndarray
-    witness_u: Signal
     witness_x0: np.ndarray
     witness_y: Signal
     separation_value: float
@@ -279,11 +290,15 @@ def _closed_form_states(A, zeta, eta, E_desc, u_data, n, m, L):
 
 
 def _override(value, shapes, name):
-    """A supplied array of one of ``shapes``, flattened; any other shape is refused."""
+    """A supplied array of one of ``shapes``, flattened; any other shape is refused.
+
+    A dimension given as None takes any length (written N in the message).
+    """
     a = np.asarray(value, dtype=float)
-    if a.shape not in shapes:
-        raise ValidationError(f"{name} must have shape {' or '.join(map(str, shapes))}, "
-                              f"got {a.shape}")
+    if not any(len(s) == a.ndim and all(d in (None, e) for d, e in zip(s, a.shape))
+               for s in shapes):
+        text = " or ".join(str(s).replace("None", "N") for s in shapes)
+        raise ValidationError(f"{name} must have shape {text}, got {a.shape}")
     return as_vector(a, name)
 
 
@@ -392,7 +407,7 @@ def _try_build(u, n, L, A, zeta, eta, rtol, tol_cert):
     the certificate's ``trajectory``. States that overflow (an unstable
     A) fail the attempt. Raises ConstructionError naming the failure.
     """
-    m, T, k = u.dim, u.length, n + L
+    T, k = u.length, n + L
     with np.errstate(over="ignore", invalid="ignore"):
         E_desc = _recursion(A, zeta, eta)
         x0 = np.zeros(n)
@@ -408,12 +423,10 @@ def _try_build(u, n, L, A, zeta, eta, rtol, tol_cert):
     v_raw = np.concatenate([E_desc[k - 1 - i].T @ xi for i in range(L)]) if L else np.zeros(0)
     norm_xi = float(np.linalg.norm(xi))
     cert = CounterexampleCertificate(
-        n=n, m=m, L=L, T=T, eta=eta, A=A, zeta=zeta, E=E_desc, x0=x0, xi=xi,
-        v=v_raw / norm_xi, w=xi / norm_xi, short_data_case=T < k - 1,
+        eta=eta, A=A, zeta=zeta, E=E_desc, xi=xi, v=v_raw / norm_xi, w=xi / norm_xi,
         states=traj.x.samples[:T - L + 1], rtol=rtol, tol_cert=tol_cert, trajectory=traj)
     residuals, srep = verify(cert, u)
-    return replace(cert, residual_annihilation=residuals["annihilation"],
-                   rank_deficit_confirmed=True, stacked_rank=srep, residuals=residuals)
+    return replace(cert, stacked_rank=srep, residuals=residuals)
 
 
 def _bounded(name, value, bound):
@@ -431,12 +444,16 @@ def verify(cert: CounterexampleCertificate, u: Signal):
     the input the states were certified on (for the depth-0 variant, its
     first T samples). Each bound is relative (``defaults``): data
     residuals to ``cert.scale(u)`` = max(max|u|, max|x|), model residuals
-    to their own matrices. Each stored fact is judged once: x0 and B by
-    the state recursion, E_0..E_{k-2}, eta, zeta and A by the closed
-    form, xi by its orthogonality, (v, w) by the unit w and the
-    annihilation. The checks, in order:
+    to their own matrices. The certificate's constructor has already
+    checked the arrays' shapes and read n, m, L, T and x0 = states[0]
+    off them. With k = n+L, each stored fact is judged once: E_{k-1} by
+    being zero, B by the state recursion, the states (x0 among them),
+    E_0..E_{k-2}, eta, zeta and A by the closed form, xi by its
+    orthogonality, (v, w) by the unit w and the annihilation. The
+    checks, in order:
 
     - (A, zeta) is controllable (PBH);
+    - E_{n+L-1} is zero;
     - ``closed_form``: the closed-form replay of the trajectory formulas
       meets the states to REPLAY_RTOL scale;
     - ``xi_orthogonality``: xi is orthogonal to zeta, A zeta, ...,
@@ -446,8 +463,8 @@ def verify(cert: CounterexampleCertificate, u: Signal):
       within ``cert.annihilation_budget(u)`` = tol_cert scale (T-L+1);
     - (A, B) is controllable (PBH; A is cyclic, so this also decides
       that spec(A) avoids eta's common roots);
-    - the state recursion: the states start at x0 and step by
-      x(t+1) = A x(t) + B u(t), to REPLAY_RTOL scale;
+    - the state recursion: the states step by x(t+1) = A x(t) + B u(t),
+      to REPLAY_RTOL scale;
     - that stacked matrix has rank below n + Lm, at a floor of rtol
       max(shape) scale: a state block that is rounding noise relative to
       u (possible when L = 0) counts as zero.
@@ -461,7 +478,9 @@ def verify(cert: CounterexampleCertificate, u: Signal):
     is the raw value its bound judges.
 
     Raises:
-        ValidationError: u does not have the certificate's T and m.
+        ValidationError: u does not have the certificate's T and m (a
+            certificate whose arrays disagree in shape is refused as it
+            is built).
         ConstructionError: the first check that fails, with its value
             and bound.
     """
@@ -479,6 +498,7 @@ def verify(cert: CounterexampleCertificate, u: Signal):
                                     f"< {rep.shape[0]}")
 
     controllable(zeta.reshape(-1, 1), "(A, zeta)")
+    _bounded("E_{n+L-1}", float(np.abs(cert.E[0]).max()), 0.0)
     cf = _closed_form_states(A, zeta, cert.eta, cert.E, u.samples, n, m, L)
     closed_form = _bounded("closed-form trajectory", float(np.abs(states - cf).max()),
                            REPLAY_RTOL * scale)
@@ -495,8 +515,8 @@ def verify(cert: CounterexampleCertificate, u: Signal):
                         cert.annihilation_budget(u))
     controllable(cert.B, "(A, B)")
     Bu = np.matmul(cert.B, u.samples[:T - L, :, None])[:, :, 0]  # as ``lti.simulate`` stacks it
-    drift = np.vstack([states[:1] - cert.x0, states[1:] - states[:-1] @ A.T - Bu])
-    _bounded("state recursion", float(np.abs(drift).max()), REPLAY_RTOL * scale)
+    drift = states[1:] - states[:-1] @ A.T - Bu
+    _bounded("state recursion", float(np.abs(drift).max(initial=0.0)), REPLAY_RTOL * scale)
     srep = rank_report(stacked, rtol, atol=rtol * max(stacked.shape) * scale)
     if srep.rank >= n + L * m:
         raise ConstructionError(f"stacked matrix rank {srep.rank} is not below n + Lm "
@@ -558,19 +578,20 @@ def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
     return _certify(prefix, n, 0, rtol, tol_cert, eta, A, zeta)
 
 
-def extend_to_output(cert: CounterexampleCertificate, u: Signal,
-                     rtol=RTOL) -> OutputCounterexample:
+def extend_to_output(cert: CounterexampleCertificate, u: Signal) -> OutputCounterexample:
     """Lift a state-level certificate to an output-level counterexample.
 
-    Builds the single-output system (A, B, w^T, 0), simulates the
-    certified experiment, and exhibits a behavior element outside the
-    data span: zero input from the initial state w/||w||^2, whose
-    output y_w(t) = w^T A^t x_w comes from the observability matrix,
-    separates with value y_w(0) = 1 (reported, not bounded: it is 1 to
-    rounding for every unit w). w must have unit norm, as ``verify``
-    requires (so w = 0 is refused before anything is simulated), and
-    the output data are held to the certificate's own
-    ``annihilation_budget(u)``. The negative behavior-equality verdict
+    Everything but the input comes from the certificate, ``cert.rtol``
+    included. Builds the single-output system (A, B, w^T, 0), simulates
+    the certified experiment from x0 = states[0], and exhibits a
+    behavior element outside the data span: zero input from the initial
+    state w/||w||^2, whose output y_w(t) = w^T A^t x_w comes from the
+    observability matrix, separates with value y_w(0) = 1, since the
+    annihilator's input block meets a zero input. The separation is
+    reported, not bounded: it is 1 to rounding for every unit w. w must
+    have unit norm, as ``verify`` requires (so w = 0 is refused before
+    anything is simulated), and the output data are held to the
+    certificate's own ``annihilation_budget(u)``. The negative behavior-equality verdict
     is re-checked independently: the data rank falls short of the
     behavior dimension. ``cert.trajectory`` is not read, so a
     certificate rebuilt from its JSON extends as well.
@@ -599,18 +620,16 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal,
                         cert.annihilation_budget(u))
 
     witness_x0 = cert.w / float(cert.w @ cert.w)
-    witness_u = Signal(np.zeros((L, m)))
     witness_y = Signal(observability_matrix(sys.C, sys.A, L) @ witness_x0)
-    separation = float(annihilator @ np.concatenate([stack(witness_u), stack(witness_y)]))
 
-    behavior_check = check_behavior_equality(sys, u, y, L, rtol)
+    behavior_check = check_behavior_equality(sys, u, y, L, cert.rtol)
     if behavior_check.behavior_equal:
         raise ConstructionError("behavior equality unexpectedly holds on certified data")
 
     return OutputCounterexample(
         sys=sys, y=y, annihilator=annihilator,
-        witness_u=witness_u, witness_x0=witness_x0, witness_y=witness_y,
-        separation_value=separation,
+        witness_x0=witness_x0, witness_y=witness_y,
+        separation_value=float(witness_y.samples[0, 0]),
         residual_annihilation=residual,
         behavior_check=behavior_check,
     )
@@ -623,6 +642,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
     For m = 1 almost any pair works: it suffices that spec(A) avoids
     the roots of the kernel polynomial, because then S = sum_i eta_i A^i
     is invertible and zeta = S^(-1) B reproduces B through the recursion.
+    B has shape (n,) or (n, 1); any other shape is refused.
 
     Raises:
         EigenvalueConflictError: an eigenvalue of A is a root of the
@@ -641,9 +661,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
     A = as_matrix(A, "A")
     if A.shape != (n, n):
         raise ValidationError(f"A must be {n}x{n}, got {A.shape}")
-    b = as_vector(B, "B")
-    if b.size != n:
-        raise ValidationError(f"B must have {n} entries, got {b.size}")
+    b = _override(B, ((n,), (n, 1)), "B")
     if float(np.linalg.norm(b)) == 0.0:
         raise ValidationError("B must be nonzero")
 
@@ -673,9 +691,11 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
 def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     """Dense family of scalar-state systems generating rank-deficient data.
 
-    For n = 1 the annihilator condition is vacuous, so every admissible
-    (a, zeta) sample gives a counterexample system: b = zeta * sum_i
-    a^i eta_i and the matching initial state. Samples with zeta = 0 or
+    ``pairs`` holds one (a, zeta) sample per row, shape (N, 2), or is
+    empty; any other shape is refused. For n = 1 the annihilator
+    condition is vacuous, so every admissible (a, zeta) sample gives a
+    counterexample system: b = zeta * sum_i a^i eta_i and the matching
+    initial state. Samples with zeta = 0 or
     with ``a`` a common root of eta's vector polynomial are skipped and
     counted, all in one array test. Each emitted point is re-verified by
     an independent rank check on its simulated data.
@@ -698,7 +718,7 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
             f"input is persistently exciting of order {k}; the family is empty"
         ) from exc
 
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    pairs = _override(pairs, ((None, 2), (0,)), "pairs").reshape(-1, 2)
     kept = pairs[~((pairs[:, 1] == 0.0) | lam.contains(pairs[:, 0]))]
     Hu = hankel(u, L)
     b_all, x0_all = np.empty((len(kept), m)), np.zeros(len(kept))

@@ -205,16 +205,18 @@ def non_exciting_input(rng, n, m, L, T, eta=None):
 def certificate_from_json(path):
     """Rebuild a certificate from a ``certificate.json``: its data fields only.
 
-    The evidence fields keep their None defaults and ``trajectory`` is
-    None, so ``peu.verify`` sees nothing the construction measured.
+    The stored keys that the certificate reads off its arrays (n, m, L,
+    T, x0, short_data_case and the evidence flags) are not passed. The
+    evidence fields keep their None defaults and ``trajectory`` is None,
+    so ``peu.verify`` sees nothing the construction measured.
     """
     import peu
 
     with open(path) as fh:
         d = json.load(fh)
-    arrays = ("eta", "A", "zeta", "x0", "xi", "v", "w", "states")
+    arrays = ("eta", "A", "zeta", "xi", "v", "w", "states")
     return peu.CounterexampleCertificate(
-        **{key: d[key] for key in ("n", "m", "L", "T", "short_data_case", "rtol", "tol_cert")},
         **{key: np.asarray(d[key], dtype=float) for key in arrays},
         E=tuple(np.asarray(Ei, dtype=float) for Ei in d["E"]),
+        rtol=d["rtol"], tol_cert=d["tol_cert"],
     )

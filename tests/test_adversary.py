@@ -618,9 +618,16 @@ def _mismatched_extension():
     (lambda: single_input_family(_U8, 2, 9, np.eye(2), [1.0, 1.0]), "L=9 out of range"),
     (lambda: single_input_family(_U8, 2, 1, np.eye(3), [1.0, 1.0]), "A must be 2x2"),
     (lambda: single_input_family(_U8, 2, 1, np.eye(2), [1.0, 1.0, 1.0]),
-     "B must have 2 entries"),
+     "B must have shape (2,) or (2, 1), got (3,)"),
     (lambda: single_input_family(_U8, 2, 1, np.eye(2), [0.0, 0.0]), "B must be nonzero"),
     (lambda: sample_system_cloud(_U8, 0, [[0.5, 1.0]]), "L=0 out of range"),
+    # (a, zeta) rows only: neither a pair per column nor a flat list is re-paired
+    (lambda: sample_system_cloud(_U8, 1, [[0.1, 0.3, 2.0], [1.0, 0.5, 0.2]]),
+     "pairs must have shape (N, 2) or (0,), got (2, 3)"),
+    (lambda: sample_system_cloud(_U8, 1, [0.5, 1.0, 0.3, 1.0]),
+     "pairs must have shape (N, 2) or (0,), got (4,)"),
+    (lambda: single_input_family(_U8, 2, 1, np.eye(2), [[1.0, 1.0]]),
+     "B must have shape (2,) or (2, 1), got (1, 2)"),
     (lambda: construct_certificate(_U8, 2, 1, eta=np.ones(4)),
      "eta must have shape (3, 1) or (3,), got (4,)"),
     # n+L = 4, m = 2: eight entries, but not in an (n+L, m) layout
@@ -633,7 +640,8 @@ def _mismatched_extension():
     (lambda: construct_certificate(_U8, 2, 1, A=np.eye(3)), "A must be 2x2"),
     (_mismatched_extension, "input signal does not match the certificate"),
 ], ids=["n", "L-low", "L-high", "l0-n", "l0-length", "family-m", "family-n", "family-L",
-        "family-A", "family-B-size", "family-B-zero", "cloud-L", "eta-size", "eta-shape",
+        "family-A", "family-B-size", "family-B-zero", "cloud-L", "cloud-pairs-by-column",
+        "cloud-pairs-flat", "family-B-row", "eta-size", "eta-shape",
         "zeta-row", "zeta-size", "A-shape", "extension-signal"])
 def test_refused_arguments(call, message):
     with pytest.raises(ValidationError) as info:

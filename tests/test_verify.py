@@ -11,6 +11,7 @@ import peu.cli
 import peu.flemma
 from peu import (
     ConstructionError,
+    CounterexampleCertificate,
     Signal,
     ValidationError,
     construct_certificate,
@@ -84,6 +85,13 @@ def _generic():
     return construct_certificate(u, 3, 2), u
 
 
+def _shifted_first_state(cert):
+    """``cert`` with x(0) = states[0], and so x0, moved by 1 in every entry."""
+    states = cert.states.copy()
+    states[0] += 1.0
+    return dataclasses.replace(cert, states=states)
+
+
 class TestTamperedCertificates:
     def test_negated_v_fails_annihilation(self):
         cert, u = _generic()
@@ -130,13 +138,19 @@ class TestTamperedCertificates:
         with pytest.raises(ConstructionError, match="^state recursion residual"):
             verify(scaled, u)
 
-    def test_shifted_x0_fails_the_state_recursion(self):
+    def test_shifted_first_state_fails_closed_form(self):
         cert, u = _generic()
-        with pytest.raises(ConstructionError, match="^state recursion residual 1.000e"):
-            verify(dataclasses.replace(cert, x0=cert.x0 + 1.0), u)
+        with pytest.raises(ConstructionError, match="^closed-form trajectory residual 1.000e"):
+            verify(_shifted_first_state(cert), u)
+
+    def test_nonzero_top_E_is_refused(self):
+        """E_{n+L-1} is zero by construction; no other check reads it."""
+        cert, u = _generic()
+        with pytest.raises(ConstructionError, match=r"^E_\{n\+L-1\} residual 7\.000e\+00 exceeds"):
+            verify(dataclasses.replace(cert, E=(cert.E[0] + 7.0, *cert.E[1:])), u)
 
     def test_moved_E_L_with_replayed_states_fails_the_state_recursion(self):
-        """E_L moved by a Delta with w^T Delta = 0, the states and x0 replayed from it.
+        """E_L moved by a Delta with w^T Delta = 0, the states replayed from it.
 
         The closed form, the annihilation and (A, B) all still hold; only
         the states no longer follow x(t+1) = A x(t) + B u(t).
@@ -148,7 +162,7 @@ class TestTamperedCertificates:
         moved = list(cert.E)
         moved[n - 1] = cert.E[n - 1] + delta  # E_L
         states = _closed_form_states(cert.A, cert.zeta, cert.eta, moved, u.samples, n, m, L)
-        tampered = dataclasses.replace(cert, E=tuple(moved), states=states, x0=states[0].copy())
+        tampered = dataclasses.replace(cert, E=tuple(moved), states=states)
         with pytest.raises(ConstructionError, match="^state recursion residual"):
             verify(tampered, u)
 
@@ -171,7 +185,7 @@ class TestTamperedCertificatesDoNotExtend:
         cert, u = _generic()
         with pytest.raises(ConstructionError,
                            match=r"^output annihilation residual 1\.000e\+00 exceeds"):
-            extend_to_output(dataclasses.replace(cert, x0=cert.x0 + 1.0), u)
+            extend_to_output(_shifted_first_state(cert), u)
 
     @pytest.mark.parametrize("zeroed", [("w",), ("v", "w")], ids=["w", "v_and_w"])
     def test_zero_w_is_refused(self, zeroed):
@@ -179,6 +193,52 @@ class TestTamperedCertificatesDoNotExtend:
         changed = {name: np.zeros_like(getattr(cert, name)) for name in zeroed}
         with pytest.raises(ConstructionError, match="^unit w residual"):
             extend_to_output(dataclasses.replace(cert, **changed), u)
+
+
+_MALFORMED = {
+    "eta one row short": lambda c: {"eta": c.eta[:-1]},
+    "E one matrix short": lambda c: {"E": c.E[1:]},
+    "B one row short": lambda c: {"E": (*c.E[:-1], c.B[:-1])},
+    "states one row short": lambda c: {"states": c.states[:-1]},
+    "v one entry short": lambda c: {"v": c.v[:-1]},
+    "xi one entry short": lambda c: {"xi": c.xi[:-1]},
+    "w as a column": lambda c: {"w": c.w[:, None]},
+    "zeta one longer": lambda c: {"zeta": np.append(c.zeta, 0.0)},
+    "A padded": lambda c: {"A": np.pad(c.A, ((0, 1), (0, 1)))},
+}
+
+
+class TestCertificateIsItsArrays:
+    """n, m, L, T, x0 and the three flags are read off the arrays, whose shapes must agree."""
+
+    def test_fields_are_the_arrays_and_evidence(self):
+        assert [f.name for f in dataclasses.fields(CounterexampleCertificate)] == [
+            "eta", "A", "zeta", "E", "xi", "v", "w", "states", "rtol", "tol_cert",
+            "stacked_rank", "residuals", "trajectory"]
+
+    def test_derived_attributes_and_json_keys(self, tmp_path):
+        built, u = _generic()
+        assert sorted(built.to_dict()) == sorted([
+            "n", "m", "L", "T", "short_data_case", "eta", "A", "zeta", "E", "B", "x0", "xi",
+            "v", "w", "residual_annihilation", "rank_deficit_confirmed", "states",
+            "stacked_rank", "residuals", "rtol", "tol_cert"])
+        assert (built.n, built.m, built.L, built.T) == (3, 2, 2, 24)
+        assert built.x0.tolist() == built.states[0].tolist()
+        assert not built.short_data_case and built.rank_deficit_confirmed
+        assert built.residual_annihilation == built.residuals["annihilation"]
+        rebuilt, _ = _bundle(tmp_path, "ex2", EX2_INPUT, "--n", "3", "--L", "1")
+        stored = json.loads((tmp_path / "ex2" / "certificate.json").read_text())
+        for key in ("n", "m", "L", "T", "short_data_case", "x0"):
+            value = getattr(rebuilt, key)
+            assert (value.tolist() if key == "x0" else value) == stored[key], key
+        # the rebuilt certificate carries no evidence
+        assert rebuilt.residual_annihilation is None and not rebuilt.rank_deficit_confirmed
+
+    @pytest.mark.parametrize("change", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_malformed_certificate_is_an_input_error(self, change):
+        cert, u = _generic()
+        with pytest.raises(ValidationError):
+            verify(dataclasses.replace(cert, **change(cert)), u)
 
 
 class TestOneSimulationPerCandidate:

@@ -102,14 +102,20 @@ def write_signal_csv(path, v: Signal, config: RunConfig):
                (f"{t},{row}\n" for t, row in enumerate(_row_texts(v.samples.tolist()))))
 
 
-def write_trajectory_csv(path, u: Signal, x: Signal, y: Signal, config: RunConfig):
-    """Columns t,u*,x*,y*; T+1 rows, the last with only the state filled."""
+def write_trajectory_csv(path, u: Signal, x: Signal, y: Signal, config: RunConfig, x_rows=None):
+    """Columns t,u*,x*,y*; T+1 rows, the last with only the state filled.
+
+    ``x_rows``, if given, are x's ``_row_texts``. A row of y is written
+    from x's text wherever it has x's bytes, as for a pair (A, B, I, 0).
+    """
     T = u.length
     if x.length != T + 1 or y.length != T:
         raise ValidationError("trajectory signals must have lengths T, T+1, T")
     names = ["t"] + [f"{s}{j + 1}" for s, v in zip("uxy", (u, x, y)) for j in range(v.dim)]
-    rows = _row_texts(np.hstack([u.samples, x.samples[:T], y.samples]).tolist())
-    rows.append(",".join([*[""] * u.dim, *_row_texts(x.samples[T:].tolist()), *[""] * y.dim]))
+    x_rows = _row_texts(x.samples.tolist()) if x_rows is None else x_rows
+    rows = list(map(",".join, zip(_row_texts(u.samples.tolist()), x_rows,
+                                  _reused(x_rows, x.samples, y.samples))))
+    rows.append(",".join([*[""] * u.dim, x_rows[T], *[""] * y.dim]))
     _write_csv(path, config.comment_line(), names,
                (f"{t},{row}\n" for t, row in enumerate(rows)))
 
@@ -187,14 +193,22 @@ def write_json(path, obj):
     _write_text(path, _indented(obj, "\n") + "\n")
 
 
+class _Rows(tuple):
+    """Texts of a matrix's rows from ``_row_texts``: ``write_json`` writes the matrix."""
+
+
+class _Row(str):
+    """A vector's text from ``_row_texts``: ``write_json`` writes the vector."""
+
+
 def _indented(obj, newline):
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an ``obj`` on the line ``newline`` opens.
 
     ``newline`` is a line break and the indentation of that line. A list
     of numbers, or a list of such lists, is formatted by one call to the
-    compact C encoder, and only its line breaks are laid out here:
-    numbers contain no ``,`` ``[`` or ``]``, so each of these in the
-    compact text is structure.
+    compact C encoder into a ``_Row`` or ``_Rows``, as callers may pass
+    them already formatted, and only their line breaks are laid out here:
+    numbers contain no ``,`` ``[`` or ``]``, so each ``,`` is structure.
     """
     inner = newline + "  "
     if isinstance(obj, dict):
@@ -203,20 +217,27 @@ def _indented(obj, newline):
         items = [_COMPACT.encode(_key_text(key)) + ": " + _indented(value, inner)
                  for key, value in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if not isinstance(obj, (list, tuple)):
-        return _COMPACT.encode(obj)
-    if not obj:
-        return "[]"
-    if _NUMBERS.issuperset(map(type, obj)):
-        body = _COMPACT.encode(obj)[1:-1].replace(",", "," + inner)
-    elif _ROWS.issuperset(map(type, obj)) and _NUMBERS.issuperset(
-            map(type, itertools.chain.from_iterable(obj))):
+    if type(obj) in _ROWS and obj:
+        if _NUMBERS.issuperset(map(type, obj)):
+            obj = _Row(_COMPACT.encode(obj)[1:-1])
+        elif _ROWS.issuperset(map(type, obj)) and _NUMBERS.issuperset(
+                map(type, itertools.chain.from_iterable(obj))):
+            obj = _Rows(_row_texts(obj))
+        else:
+            return _bracketed([_indented(value, inner) for value in obj], newline)
+    if isinstance(obj, _Row):
+        return _bracketed([obj.replace(",", "," + inner)] if obj else [], newline)
+    if isinstance(obj, _Rows):
         deeper = inner + "  "
-        body = ("," + inner).join("[" + deeper + row.replace(",", "," + deeper) + inner + "]"
-                                  if row else "[]" for row in _row_texts(obj))
-    else:
-        body = ("," + inner).join([_indented(value, inner) for value in obj])
-    return "[" + inner + body + newline + "]"
+        return _bracketed(["[" + deeper + row.replace(",", "," + deeper) + inner + "]"
+                           if row else "[]" for row in obj], newline)
+    return _COMPACT.encode(obj)
+
+
+def _bracketed(items, newline):
+    """The JSON texts ``items`` as json's indented list on the line ``newline`` opens."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
 
 
 def _row_texts(rows):
@@ -227,6 +248,17 @@ def _row_texts(rows):
     ``float.__repr__`` does, and no number contains ``],[``.
     """
     return _COMPACT.encode(rows)[2:-2].split("],[")[:len(rows)]
+
+
+def _reused(texts, source, target):
+    """``_row_texts(target.tolist())``, taking row i from ``texts``, the rows of ``source``,
+    wherever target[i] has source[i]'s float64 bytes (a -0.0 is not a 0.0)."""
+    if np.shape(source)[1:] != np.shape(target)[1:]:
+        return _row_texts(target.tolist())
+    a, b = (np.ascontiguousarray(v, float).view(np.uint64) for v in (source[:len(target)], target))
+    same = (a == b).all(axis=1)
+    fresh = iter(_row_texts(target[~same].tolist()))
+    return [text if ok else next(fresh) for text, ok in zip(texts, same.tolist())]
 
 
 def _key_text(key):
@@ -308,12 +340,13 @@ def cmd_universal(args) -> int:
     cfg = _config_from_args(args)
     u = read_signal_csv(args.signal)
     verdict = flemma.universality_verdict(u, args.n, args.L, rtol=cfg.rtol, tol_cert=cfg.tol_cert)
+    cert = verdict.counterexample
     payload = {
         "universal": verdict.universal,
         "pe_order_needed": verdict.pe_order_needed,
         "pe_report": verdict.pe_report.to_dict(),
-        "certificate": None if verdict.counterexample is None
-        else verdict.counterexample.to_dict(),
+        "certificate": None if cert is None
+        else _certificate_json(cert, _row_texts(cert.states.tolist())),
         "config": cfg.to_dict(),
     }
     write_json(args.out, payload)
@@ -337,16 +370,31 @@ def cmd_counterexample(args) -> int:
         cert = adversary.construct_certificate(u, args.n, args.L, **kwargs)
 
     os.makedirs(args.out, exist_ok=True)
-    write_json(os.path.join(args.out, "certificate.json"),
-               {**cert.to_dict(), "config": cfg.to_dict()})
-    write_json(os.path.join(args.out, "system.json"), cert.state_pair().to_dict())
-    traj = cert.trajectory  # the construction's own simulation of the certified pair
-    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
-                         traj.u, traj.x, traj.y, cfg)
-    sys.stdout.write(
-        f"certificate.json system.json trajectory.csv written to {args.out}\n"
-    )
+    x = cert.trajectory.x  # the construction's own simulation of the certified pair
+    x_rows = _row_texts(x.samples.tolist())
+    cert_json = _certificate_json(cert, _reused(x_rows, x.samples, cert.states))
+    write_json(os.path.join(args.out, "certificate.json"), {**cert_json, "config": cfg.to_dict()})
+    pair = cert.state_pair()
+    write_json(os.path.join(args.out, "system.json"), {
+        **pair.to_dict(), "A": _Rows(_reused(cert_json["A"], cert.A, pair.A)),
+        "B": _Rows(_reused(cert_json["B"], cert.B, pair.B))})
+    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), cert.trajectory.u, x,
+                         cert.trajectory.y, cfg, x_rows)
+    sys.stdout.write(f"certificate.json system.json trajectory.csv written to {args.out}\n")
     return EXIT_OK
+
+
+def _certificate_json(cert, state_rows):
+    """``cert.to_dict()`` with each array that it writes twice formatted once.
+
+    ``state_rows`` are the ``_row_texts`` of ``cert.states``; x0 is
+    written from the first, B from the texts of E[-1] (where the bytes
+    agree), and A and the E matrices as ``_Rows`` that callers reuse.
+    """
+    E = [_Rows(_row_texts(Ei.tolist())) for Ei in cert.E]
+    return {**cert.to_dict(), "A": _Rows(_row_texts(cert.A.tolist())), "E": E,
+            "B": _Rows(_reused(E[-1], cert.E[-1], cert.B)), "states": _Rows(state_rows),
+            "x0": _Row(_reused(state_rows, cert.states, cert.x0[None])[0])}
 
 
 def cmd_cloud(args) -> int:

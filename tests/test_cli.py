@@ -22,13 +22,17 @@ from peu import (
     simulate,
     universality_verdict,
 )
+from peu import cli
 from peu.cli import (
     EXIT_CONSTRUCTION,
     EXIT_FALSE,
     EXIT_INPUT,
     EXIT_OK,
     RunConfig,
+    _reused,
+    _Row,
     _row_texts,
+    _Rows,
     main,
     read_signal_csv,
     read_system_json,
@@ -167,6 +171,30 @@ class TestFormats:
             u, x, y = Signal(table[:-1]), Signal(table[:, ::-1]), Signal(table[1:, :1])
             assert (stdout_text(write_trajectory_csv, u, x, y, cfg)
                     == trajectory_csv_loop(u, x, y, cfg))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=TABLES)
+    @example(rows=[[-0.0, 5e-324], [1e16, 1e22], [0.0, -0.0]])
+    def test_reused_rows_are_fresh_rows(self, rows):
+        source = np.array(rows)
+        texts = _row_texts(source.tolist())
+        flipped = np.where(np.arange(len(rows))[:, None] % 2, source, -source)
+        # source + 0.0 turns each -0.0 into 0.0, as y = I x + 0 u may
+        for target in (source, source + 0.0, source[:len(rows) // 2 + 1], flipped,
+                       source[::-1], source[:, :1]):
+            reused = _reused(texts, source, target)
+            assert reused == _row_texts(target.tolist())
+            assert (json_text({"m": _Rows(reused), "v": _Row(reused[0])})
+                    == json_text({"m": target.tolist(), "v": target[0].tolist()}))
+
+    def test_y_zero_of_other_sign_than_x(self):
+        cfg = RunConfig()
+        u = Signal(np.array([[1.0], [2.0]]))
+        x = Signal(np.array([[-0.0, 0.5], [1e22, -0.0], [5e-324, 1e16]]))
+        y = Signal(x.samples[:2] + 0.0)  # equal to x but for the sign of its zeros
+        text = stdout_text(write_trajectory_csv, u, x, y, cfg)
+        assert text == trajectory_csv_loop(u, x, y, cfg)
+        assert text.splitlines()[2:4] == ["0,1.0,-0.0,0.5,0.0,0.5", "1,2.0,1e+22,-0.0,1e+22,0.0"]
 
     def test_csv_rows_of_empty_table(self):
         # "[]"[2:-2].split("],[") alone would give one empty row
@@ -773,6 +801,64 @@ class TestCertificateDeterminism:
                   "--seed", "5", "--out", str(d)])
         for name in ("certificate.json", "system.json", "trajectory.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def _bundle_input(case, tmp_path):
+    """(signal path, n, L): ex2's, or a certify-sized two-channel multisine of 3 tones,
+    not exciting of order n+L = 9."""
+    if case == "ex2":
+        return EX2_INPUT, 3, 1
+    t = np.arange(40)[:, None]
+    w = np.array([[0.4, 1.3, 2.2]])
+    coef = np.random.default_rng(4).standard_normal((2, 3, 2))
+    path = tmp_path / "u.csv"
+    write_signal_csv(str(path), Signal(np.cos(t * w) @ coef[0] + np.sin(t * w) @ coef[1]),
+                     RunConfig())
+    return str(path), 5, 4
+
+
+class TestFormatOnce:
+    """A bundle formats each state row once, and writes the bytes of the arrays' own JSON."""
+
+    @pytest.mark.parametrize("case", ["ex2", "multisine"])
+    def test_each_state_row_is_formatted_once(self, tmp_path, monkeypatch, case):
+        signal, n, L = _bundle_input(case, tmp_path)
+        encoded = []
+
+        def counted(rows):
+            encoded.extend(tuple(map(repr, row)) for row in rows)
+            return _row_texts(rows)
+
+        monkeypatch.setattr(cli, "_row_texts", counted)
+        bundle = tmp_path / "bundle"
+        assert main(["counterexample", signal, "--n", str(n), "--L", str(L),
+                     "--out", str(bundle)]) == EXIT_OK
+        monkeypatch.undo()
+        x = read_trajectory_csv(str(bundle / "trajectory.csv"))["x"].samples
+        assert len(x) > L + 1
+        for row in x.tolist():  # each x(t) as a run of cells in the rows encoded
+            cells = tuple(map(repr, row))
+            runs = sum(r[i:i + n] == cells for r in encoded for i in range(len(r) - n + 1))
+            assert runs == 1, (row, runs)
+
+    @pytest.mark.parametrize("case", ["ex2", "multisine"])
+    def test_bundle_is_the_arrays_json(self, tmp_path, case):
+        signal, n, L = _bundle_input(case, tmp_path)
+        u, bundle, report = read_signal_csv(signal), tmp_path / "bundle", tmp_path / "u.json"
+        main(["counterexample", signal, "--n", str(n), "--L", str(L), "--out", str(bundle)])
+        main(["universal", signal, "--n", str(n), "--L", str(L), "--out", str(report)])
+        cert, cfg = construct_certificate(u, n, L), RunConfig()
+        traj = cert.trajectory
+        expected = {"certificate.json": json_text({**cert.to_dict(), "config": cfg.to_dict()}),
+                    "system.json": json_text(cert.state_pair().to_dict()),
+                    "trajectory.csv": trajectory_csv_loop(traj.u, traj.x, traj.y, cfg)}
+        for name, text in expected.items():
+            assert (bundle / name).read_text() == text, name
+        verdict = universality_verdict(u, n, L)
+        assert report.read_text() == json_text({
+            "universal": verdict.universal, "pe_order_needed": verdict.pe_order_needed,
+            "pe_report": verdict.pe_report.to_dict(),
+            "certificate": verdict.counterexample.to_dict(), "config": cfg.to_dict()})
 
 
 class TestArtifactShape:

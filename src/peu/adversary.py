@@ -39,13 +39,13 @@ from .lti import StateSpaceSystem, Trajectory, is_controllable, observability_ma
 from .numkit import (
     RankReport,
     _right_svd,
+    _stack_test,
     as_matrix,
     as_vector,
     lambda_set,
     rank_report,
-    stacked_deficient,
 )
-from .signals import Signal, as_signal, hankel, is_pe
+from .signals import Signal, _check_depth, as_signal, hankel, is_pe
 
 __all__ = [
     "CounterexampleCertificate",
@@ -59,6 +59,11 @@ __all__ = [
     "sample_system_cloud",
     "verify",
 ]
+
+
+# the keys of certificate.json that CounterexampleCertificate.to_dict writes as they are
+_PLAIN_KEYS = ("n", "m", "L", "T", "short_data_case", "residual_annihilation",
+              "rank_deficit_confirmed", "rtol", "tol_cert")
 
 
 @dataclass(frozen=True)
@@ -151,10 +156,8 @@ class CounterexampleCertificate:
 
     def to_dict(self):
         """The 21 keys of ``certificate.json``: the fields, B and the derived attributes."""
-        plain = ("n", "m", "L", "T", "short_data_case", "residual_annihilation",
-                 "rank_deficit_confirmed", "rtol", "tol_cert")
         arrays = ("eta", "A", "zeta", "B", "x0", "xi", "v", "w", "states")
-        return {**{key: getattr(self, key) for key in plain},
+        return {**{key: getattr(self, key) for key in _PLAIN_KEYS},
                 **{key: getattr(self, key).tolist() for key in arrays},
                 "E": [Ei.tolist() for Ei in self.E], "stacked_rank": self.stacked_rank.to_dict(),
                 "residuals": dict(self.residuals)}
@@ -212,7 +215,9 @@ class CloudResult:
         return float(self.verified.mean()) if self.verified.size else 0.0
 
 
-_CLOUD_BLOCK = 256  # points per batch in sample_system_cloud; bounds its memory
+# sample_system_cloud's blocks: _CLOUD_CELLS states bound a block's memory, but a block
+# holds at least _CLOUD_POINTS points, since it takes T - L interpreted time steps
+_CLOUD_CELLS, _CLOUD_POINTS = 1 << 16, 256
 
 
 def _jordan_block(lam, n):
@@ -555,8 +560,7 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
     u = as_signal(u)
     if n < 1:
         raise ValidationError("n must be positive")
-    if L < 1 or L > u.length:
-        raise ValidationError(f"L={L} out of range [1, {u.length}]")
+    _check_depth(u, L)
     return _certify(u, n, L, rtol, tol_cert, eta, A, zeta)
 
 
@@ -656,8 +660,7 @@ def single_input_family(u: Signal, n, L, A, B, rtol=RTOL,
         raise ValidationError("single-input family requires m = 1")
     if n < 1:
         raise ValidationError("n must be positive")
-    if L < 1 or L > u.length:
-        raise ValidationError(f"L={L} out of range [1, {u.length}]")
+    _check_depth(u, L)
     A = as_matrix(A, "A")
     if A.shape != (n, n):
         raise ValidationError(f"A must be {n}x{n}, got {A.shape}")
@@ -700,17 +703,18 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
     counted, all in one array test. Each emitted point is re-verified by
     an independent rank check on its simulated data.
 
-    The kept samples are handled in fixed blocks of points: one block
-    runs the recursion and the state steps as array operations, with the
-    same floating-point operations per point as one point at a time, and
-    ``stacked_deficient`` decides its rank checks by projecting each
-    state row onto the row space of H_L(u). Blocking bounds the memory
-    of a large cloud. The result holds the points as columns.
+    The kept samples are handled in blocks of about ``_CLOUD_CELLS``
+    states, and of ``_CLOUD_POINTS`` points at least: one block runs the
+    recursion and the state steps as array operations, with the same
+    floating-point operations per point as one point at a time, one time
+    step for all its points at once. The row space of H_L(u) is factored
+    once per cloud, and each block's rank checks project its states onto
+    it, as ``stacked_deficient`` does. Blocking bounds the memory of a
+    large cloud. The result holds the points as columns.
     """
     u = as_signal(u)
     m, T, k = u.dim, u.length, 1 + L
-    if L < 1 or L > u.length:
-        raise ValidationError(f"L={L} out of range [1, {u.length}]")
+    _check_depth(u, L)
     try:
         eta, lam = _kernel_vector(u, k, rtol)
     except PersistentlyExcitingError as exc:
@@ -720,11 +724,12 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
 
     pairs = _override(pairs, ((None, 2), (0,)), "pairs").reshape(-1, 2)
     kept = pairs[~((pairs[:, 1] == 0.0) | lam.contains(pairs[:, 0]))]
-    Hu = hankel(u, L)
+    deficient = _stack_test(hankel(u, L), rtol)
     b_all, x0_all = np.empty((len(kept), m)), np.zeros(len(kept))
     verified = np.empty(len(kept), dtype=bool)
-    for start in range(0, len(kept), _CLOUD_BLOCK):
-        a, zeta_s = kept[start:start + _CLOUD_BLOCK].T
+    step = max(_CLOUD_POINTS, _CLOUD_CELLS // (T - L + 1))
+    for start in range(0, len(kept), step):
+        a, zeta_s = kept[start:start + step].T
         N = a.size
         # scalar-state recursion: E_i are (N, m) rows, E_L = 0
         rows = [np.zeros((N, m))]
@@ -736,11 +741,12 @@ def sample_system_cloud(u: Signal, L, pairs, rtol=RTOL) -> CloudResult:
         x0 = x0_all[start:start + N]
         for i in range(k - 1):
             x0 -= np.vecdot(rows[k - 1 - i], u.samples[i])  # rows[k-1-i] = E_i
-        x = np.empty((N, T - L + 1))
-        x[:, 0] = x0
+        x = np.empty((T - L + 1, N))  # time-major: x[t] holds x(t) of every point
+        x[0] = x0
+        np.vecdot(b, u.samples[:T - L, None], out=x[1:])  # b u(t) for every t and point
         for t in range(T - L):
-            x[:, t + 1] = a * x[:, t] + np.vecdot(b, u.samples[t])
-        verified[start:start + N] = stacked_deficient(Hu, x, rtol)
+            x[t + 1] += a * x[t]
+        verified[start:start + N] = deficient(as_matrix(x))
     b_all = as_matrix(b_all, "b")  # refuses a non-finite b, which x(0) alone hides at T = L
     return CloudResult(a=kept[:, 0].copy(), b=b_all, x0=x0_all, verified=verified,
                        n_skipped=len(pairs) - len(kept))

@@ -8,6 +8,8 @@ Formats:
   without it.
 - Trajectory CSV: columns ``t,u*,x*,y*`` with T+1 rows; the final row
   holds only the post-input state (u/y cells empty).
+- Cloud CSV: columns ``a,b*,x0,verified``, one row per point; the
+  comment line ends in ``skipped=K``.
 - System JSON: ``{"n","m","p","A","B","C","D"}`` with row-major arrays.
 - Certificate JSON: all certificate fields plus tolerances and
   verification residuals (the construction is deterministic: no seed).
@@ -107,17 +109,39 @@ def write_trajectory_csv(path, u: Signal, x: Signal, y: Signal, config: RunConfi
 
     ``x_rows``, if given, are x's ``_row_texts``. A row of y is written
     from x's text wherever it has x's bytes, as for a pair (A, B, I, 0).
+    Where y cannot borrow x's text and x is not given formatted, u, x and
+    y are formatted as one table.
     """
     T = u.length
     if x.length != T + 1 or y.length != T:
         raise ValidationError("trajectory signals must have lengths T, T+1, T")
     names = ["t"] + [f"{s}{j + 1}" for s, v in zip("uxy", (u, x, y)) for j in range(v.dim)]
-    x_rows = _row_texts(x.samples.tolist()) if x_rows is None else x_rows
-    rows = list(map(",".join, zip(_row_texts(u.samples.tolist()), x_rows,
-                                  _reused(x_rows, x.samples, y.samples))))
-    rows.append(",".join([*[""] * u.dim, x_rows[T], *[""] * y.dim]))
+    if x_rows is None and x.dim != y.dim:
+        rows = _row_texts(np.hstack([u.samples, x.samples[:T], y.samples]).tolist())
+        x_rows = _row_texts(x.samples[T:].tolist())  # x(T) alone
+    else:
+        x_rows = _row_texts(x.samples.tolist()) if x_rows is None else x_rows
+        rows = list(map(",".join, zip(_row_texts(u.samples.tolist()), x_rows,
+                                      _reused(x_rows, x.samples, y.samples))))
+    rows.append(",".join([*[""] * u.dim, x_rows[-1], *[""] * y.dim]))
     _write_csv(path, config.comment_line(), names,
                (f"{t},{row}\n" for t, row in enumerate(rows)))
+
+
+def write_cloud_csv(path, cloud, config: RunConfig):
+    """Columns a,b*,x0,verified, one row per point of ``cloud`` (an ``adversary.CloudResult``).
+
+    The comment line ends in ``skipped=K``. Each row is one ``%r`` template
+    filled from the columns: ``%r`` writes a float as ``float.__repr__``, as
+    json writes a finite float, and ``sample_system_cloud`` refuses a
+    non-finite b or state (x0 is x(0)).
+    """
+    m = cloud.b.shape[1]
+    row = ",".join(["%r"] * (m + 2)) + ",%d\n"
+    columns = (cloud.a.tolist(), *cloud.b.T.tolist(), cloud.x0.tolist(), cloud.verified.tolist())
+    _write_csv(path, config.comment_line() + f" skipped={cloud.n_skipped}",
+               ["a"] + [f"b{j + 1}" for j in range(m)] + ["x0", "verified"],
+               map(row.__mod__, zip(*columns)))
 
 
 def _write_csv(path, comment, names, lines):
@@ -374,10 +398,9 @@ def cmd_counterexample(args) -> int:
     x_rows = _row_texts(x.samples.tolist())
     cert_json = _certificate_json(cert, _reused(x_rows, x.samples, cert.states))
     write_json(os.path.join(args.out, "certificate.json"), {**cert_json, "config": cfg.to_dict()})
-    pair = cert.state_pair()
-    write_json(os.path.join(args.out, "system.json"), {
-        **pair.to_dict(), "A": _Rows(_reused(cert_json["A"], cert.A, pair.A)),
-        "B": _Rows(_reused(cert_json["B"], cert.B, pair.B))})
+    # the pair holds copies of A and B = E[-1], so their texts are the certificate's
+    write_json(os.path.join(args.out, "system.json"),
+               {**cert.state_pair().to_dict(), "A": cert_json["A"], "B": cert_json["B"]})
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), cert.trajectory.u, x,
                          cert.trajectory.y, cfg, x_rows)
     sys.stdout.write(f"certificate.json system.json trajectory.csv written to {args.out}\n")
@@ -385,16 +408,18 @@ def cmd_counterexample(args) -> int:
 
 
 def _certificate_json(cert, state_rows):
-    """``cert.to_dict()`` with each array that it writes twice formatted once.
+    """``cert.to_dict()``, built from the arrays with each that it writes twice formatted once.
 
-    ``state_rows`` are the ``_row_texts`` of ``cert.states``; x0 is
-    written from the first, B from the texts of E[-1] (where the bytes
-    agree), and A and the E matrices as ``_Rows`` that callers reuse.
+    ``state_rows`` are the ``_row_texts`` of ``cert.states``; x0 = states[0]
+    is written from the first, B = E[-1] from E[-1]'s texts, and A and the
+    E matrices as ``_Rows`` that callers reuse.
     """
     E = [_Rows(_row_texts(Ei.tolist())) for Ei in cert.E]
-    return {**cert.to_dict(), "A": _Rows(_row_texts(cert.A.tolist())), "E": E,
-            "B": _Rows(_reused(E[-1], cert.E[-1], cert.B)), "states": _Rows(state_rows),
-            "x0": _Row(_reused(state_rows, cert.states, cert.x0[None])[0])}
+    return {**{key: getattr(cert, key) for key in adversary._PLAIN_KEYS},
+            **{key: getattr(cert, key).tolist() for key in ("eta", "zeta", "xi", "v", "w")},
+            "A": _Rows(_row_texts(cert.A.tolist())), "E": E,
+            "B": E[-1], "states": _Rows(state_rows), "x0": _Row(state_rows[0]),
+            "stacked_rank": cert.stacked_rank.to_dict(), "residuals": dict(cert.residuals)}
 
 
 def cmd_cloud(args) -> int:
@@ -416,11 +441,7 @@ def cmd_cloud(args) -> int:
     while np.any(z == 0.0):
         z[z == 0.0] = rng.uniform(z_lo, z_hi, size=int(np.sum(z == 0.0)))
     result = adversary.sample_system_cloud(u, args.L, np.column_stack([a, z]), rtol=cfg.rtol)
-    rows = _row_texts(np.column_stack([result.a, result.b, result.x0]).tolist())
-    flags = [",1\n" if ok else ",0\n" for ok in result.verified.tolist()]
-    _write_csv(args.out, cfg.comment_line() + f" skipped={result.n_skipped}",
-               ["a"] + [f"b{j + 1}" for j in range(u.dim)] + ["x0", "verified"],
-               map(str.__add__, rows, flags))
+    write_cloud_csv(args.out, result, cfg)
     return EXIT_OK
 
 

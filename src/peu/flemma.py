@@ -20,7 +20,7 @@ from .defaults import RTOL, TOL_CERT, TRAJECTORY_RTOL
 from .errors import NotATrajectoryError, ValidationError
 from .lti import StateSpaceSystem, observability_matrix, simulate
 from .numkit import RankReport, rank_report
-from .signals import PEReport, Signal, as_signal, hankel, pe_order
+from .signals import PEReport, Signal, _check_depth, as_signal, hankel, pe_order
 
 __all__ = [
     "LemmaCheck",
@@ -79,8 +79,7 @@ def check_rank_condition(u: Signal, x: Signal, L, n, rtol=RTOL) -> RankReport:
     """
     u = as_signal(u)
     x = as_signal(x)
-    if L < 1 or L > u.length:
-        raise ValidationError(f"L={L} out of range [1, {u.length}]")
+    _check_depth(u, L)
     if x.dim != n:
         raise ValidationError(f"state dim {x.dim} does not match n={n}")
     if x.length != u.length - L + 1:
@@ -136,8 +135,7 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
         raise ValidationError("data dimensions do not match the system")
     if u.length != y.length:
         raise ValidationError("input and output must have the same length")
-    if L < 1 or L > u.length:
-        raise ValidationError(f"L={L} out of range [1, {u.length}]")
+    _check_depth(u, L)
 
     x = _reconstruct_state(sys, u, y)
     rank_cond = check_rank_condition(u, Signal(x[: u.length - L + 1]), L, sys.n, rtol)
@@ -173,8 +171,7 @@ def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT) -> Unive
     pair and an initial state whose data is rank-deficient.
     """
     u = as_signal(u)
-    if L < 1 or L > u.length:
-        raise ValidationError(f"L={L} out of range [1, {u.length}]")
+    _check_depth(u, L)
     if n < 1:
         raise ValidationError("n must be positive")
     report = pe_order(u, rtol, up_to=n + L)

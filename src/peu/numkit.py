@@ -5,7 +5,8 @@ entries only). Every single rank decision in the package flows through
 ``rank_report`` so that each claim carries its singular values and the
 tolerance that produced it; ``stacked_deficient`` decides stacks [M; x]
 that share M from one SVD of M and never calls a stack deficient that
-``rank_report`` calls full. One tolerance rule serves ``rank_report``,
+``rank_report`` calls full (``_stack_test`` keeps that SVD for a caller
+that decides x's in batches). One tolerance rule serves ``rank_report``,
 ``stacked_deficient`` and ``kernel_basis``: a singular value counts as
 nonzero when it exceeds ``rtol * max(rows, cols) * sigma_max`` (plain
 ``rtol`` when sigma_max is 0), which ``rank_report`` may raise to an
@@ -178,17 +179,29 @@ def stacked_deficient(M, X, rtol=RTOL):
     it (by interlacing, or by Weyl's inequality), so ``rank_report``
     finds every stack decided deficient here deficient.
     """
-    A, S = as_matrix(M), as_matrix(X)
     _check_rtol(rtol)
+    return _stack_test(as_matrix(M), rtol)(as_matrix(X).T)
+
+
+def _stack_test(A, rtol):
+    """``stacked_deficient(A, X, rtol)`` as a function of X.T, from one SVD of ``A``.
+
+    ``A`` is a checked matrix. The returned function takes a finite
+    (cols, N) array whose columns are the x's, and returns their (N,) flags.
+    """
     rows, cols = A.shape
     _, s, vh = _svd(A, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     if np.sum(s > _tolerance(smax, A.shape, rtol)) < rows:
-        return np.ones(len(S), dtype=bool)
-    c = np.maximum(np.abs(S).max(axis=1, initial=smax), np.finfo(float).tiny)[:, None]
-    S = S / c  # scaled by max(sigma_max(M), max |x_j|): no square in a norm over- or underflows
-    tol = _tolerance(np.maximum(smax / c[:, 0], np.linalg.norm(S, axis=1)), (rows + 1, cols), rtol)
-    return np.linalg.norm(S - S @ vh.T @ vh, axis=1) <= tol
+        return lambda X: np.ones(X.shape[1], dtype=bool)
+
+    def deficient(X):
+        c = np.maximum(np.abs(X).max(axis=0, initial=smax), np.finfo(float).tiny)
+        S = X / c  # scaled by max(sigma_max(A), max |x_j|): no square in a norm over- or underflows
+        tol = _tolerance(np.maximum(smax / c, np.linalg.norm(S, axis=0)), (rows + 1, cols), rtol)
+        return np.linalg.norm(S - vh.T @ (vh @ S), axis=0) <= tol
+
+    return deficient
 
 
 def kernel_basis(M, rtol=RTOL):

@@ -100,6 +100,12 @@ class PEReport:
         }
 
 
+def _check_depth(v: Signal, L):
+    """Refuse a depth ``L`` outside [1, T] with a ValidationError that names L."""
+    if L < 1 or L > v.length:
+        raise ValidationError(f"L={L} out of range [1, {v.length}]")
+
+
 def stack(v: Signal) -> np.ndarray:
     """Time-major stacking of all samples into one long vector."""
     return v.samples.reshape(-1).copy()

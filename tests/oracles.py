@@ -264,3 +264,14 @@ def trajectory_csv_loop(u, x, y, config):
         cells += [repr(float(v)) for v in y.samples[t]] if t < T else [""] * y.dim
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def cloud_csv_loop(cloud, config):
+    """Cloud CSV text cell by cell: a, b, x0 by ``repr(float(x))``, then 1 or 0."""
+    m = cloud.b.shape[1]
+    lines = [f"{config.comment_line()} skipped={cloud.n_skipped}",
+             ",".join(["a"] + [f"b{j + 1}" for j in range(m)] + ["x0", "verified"])]
+    for i in range(len(cloud.a)):
+        cells = [cloud.a[i], *cloud.b[i], cloud.x0[i]]
+        lines.append(",".join([repr(float(c)) for c in cells] + ["1" if cloud.verified[i] else "0"]))
+    return "\n".join(lines) + "\n"

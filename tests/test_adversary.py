@@ -19,6 +19,7 @@ from peu import (
     single_input_family,
     universality_verdict,
 )
+from peu import adversary, cli
 from peu.adversary import _closed_form_states, _jordan_block, _recursion
 from peu.defaults import RTOL
 from peu.numkit import lambda_set, rank_report
@@ -486,7 +487,10 @@ def _cloud_point_by_point(u, L, pairs):
 class TestSampleSystemCloud:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("L", [1, 2, 3])
-    def test_blocks_match_point_by_point(self, m, L):
+    def test_blocks_match_point_by_point(self, m, L, monkeypatch):
+        # a budget of 1 state leaves blocks of _CLOUD_POINTS points
+        monkeypatch.setattr(adversary, "_CLOUD_CELLS", 1)
+        monkeypatch.setattr(adversary, "_CLOUD_POINTS", 128)
         rng = np.random.default_rng(100 * m + L)
         pole = 0.7
         # every coordinate polynomial of eta vanishes at the pole, so the pole is in
@@ -510,11 +514,44 @@ class TestSampleSystemCloud:
         assert expected_skipped >= np.sum((pairs[:, 1] == 0.0)
                                           | np.isin(pairs[:, 0], [pole, inside]))
         assert outside in [pt.a for pt in cloud.points]
-        assert len(cloud.points) == len(expected) > 256  # more than one block
+        assert len(cloud.points) == len(expected) > 3 * 128  # four blocks at least
         for pt, (a, b, x0, verified) in zip(cloud.points, expected):
             assert type(pt.a) is float and type(pt.x0) is float and type(pt.verified) is bool
             assert pt.a == a and pt.x0 == x0 and pt.verified == verified
             assert pt.b.shape == (m,) and pt.b.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_block_size_changes_no_bit(self, m, monkeypatch):
+        rng = np.random.default_rng(7 + m)
+        u, _ = non_exciting_input(rng, 1, m, 2, 3 * (m + 1) + 3)
+        pairs = np.column_stack([rng.uniform(-1.5, 1.5, 3000), rng.uniform(-2, 2, 3000)])
+        default = sample_system_cloud(u, 2, pairs)
+        assert len(default.a) <= adversary._CLOUD_CELLS // (u.length - 1)  # one block
+        # blocks of 1 point, of 7 points, and of 200 // (T - L + 1) points
+        for cells, points in ((1, 1), (1, 7), (200, 1)):
+            monkeypatch.setattr(adversary, "_CLOUD_CELLS", cells)
+            monkeypatch.setattr(adversary, "_CLOUD_POINTS", points)
+            small = sample_system_cloud(u, 2, pairs)
+            for name in ("a", "b", "x0", "verified"):
+                assert getattr(small, name).tobytes() == getattr(default, name).tobytes(), name
+            assert small.n_skipped == default.n_skipped
+
+    def test_one_row_space_svd_per_cloud(self, tmp_path, ex3_input, monkeypatch):
+        # 2 SVDs decide eta and 1 factors H_L(u), however many blocks the points take
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        signal = tmp_path / "u.csv"
+        cli.write_signal_csv(str(signal), Signal(ex3_input), cli.RunConfig())
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        out = tmp_path / "cloud.csv"
+        assert cli.main(["cloud", str(signal), "--L", "2", "--out", str(out)]) == cli.EXIT_OK
+        assert len(out.read_text().splitlines()) > 2 + 9000
+        assert len(calls) == 3, calls
 
     def test_empty_pairs(self, ex3_input):
         u = Signal(ex3_input)

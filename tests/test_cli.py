@@ -11,10 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from peu import (
+    CloudResult,
     ConstructionError,
     PersistentlyExcitingError,
     Signal,
     construct_certificate,
+    construct_certificate_l0,
     hankel,
     is_controllable,
     is_pe,
@@ -38,12 +40,13 @@ from peu.cli import (
     read_system_json,
     read_trajectory_csv,
     write_signal_csv,
+    write_cloud_csv,
     write_json,
     write_trajectory_csv,
 )
 
 from conftest import FIXTURES
-from oracles import signal_csv_loop, trajectory_csv_loop
+from oracles import cloud_csv_loop, signal_csv_loop, trajectory_csv_loop
 
 
 EX1_SYSTEM = str(FIXTURES / "ex1_system.json")
@@ -100,6 +103,12 @@ JSON_VALUES = st.recursive(
                             st.dictionaries(_TEXT, inner, max_size=4)),
     max_leaves=12,
 )
+
+
+def _cloud(table, verified):
+    """A cloud whose b is ``table`` (m = its width), a its first and x0 its last column."""
+    return CloudResult(a=table[:, 0].copy(), b=table, x0=table[:, -1].copy(),
+                       verified=verified, n_skipped=2)
 
 
 class TestFormats:
@@ -171,6 +180,23 @@ class TestFormats:
             u, x, y = Signal(table[:-1]), Signal(table[:, ::-1]), Signal(table[1:, :1])
             assert (stdout_text(write_trajectory_csv, u, x, y, cfg)
                     == trajectory_csv_loop(u, x, y, cfg))
+        cloud = _cloud(table, np.arange(len(rows)) % 3 > 0)
+        assert stdout_text(write_cloud_csv, cloud, cfg) == cloud_csv_loop(cloud, cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=TABLES, flags=st.lists(st.booleans(), min_size=6, max_size=6))
+    @example(rows=[[-0.0, 5e-324, 1e-320, -1e-320], [1e16, 1e22, 2.0**53 + 2, 0.1]],
+             flags=[True, False] * 3)  # m = 4
+    @example(rows=[[5e-324], [-1e-320], [1e22]], flags=[False, True, True] * 2)  # m = 1
+    def test_cloud_rows_are_the_encoder_rows(self, rows, flags):
+        # the route before the template: one json encoding of the column-stacked table
+        table = np.array(rows)
+        cloud = _cloud(table, np.array(flags[:len(rows)]))
+        old = _row_texts(np.column_stack([cloud.a, cloud.b, cloud.x0]).tolist())
+        lines = stdout_text(write_cloud_csv, cloud, RunConfig()).splitlines()
+        assert lines[1] == ",".join(["a"] + [f"b{j + 1}" for j in range(table.shape[1])]
+                                    + ["x0", "verified"])
+        assert lines[2:] == [row + (",1" if ok else ",0") for row, ok in zip(old, flags)]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(rows=TABLES)
@@ -186,6 +212,21 @@ class TestFormats:
             assert reused == _row_texts(target.tolist())
             assert (json_text({"m": _Rows(reused), "v": _Row(reused[0])})
                     == json_text({"m": target.tolist(), "v": target[0].tolist()}))
+
+    def test_trajectory_formats_one_table_when_y_is_fresh(self, monkeypatch):
+        # p != n: y cannot borrow x's text, so u, x(0..T-1) and y are one table, x(T) a row
+        rng = np.random.default_rng(5)
+        u, x, y = (Signal(rng.standard_normal(shape)) for shape in ((4, 2), (5, 3), (4, 1)))
+        expected = trajectory_csv_loop(u, x, y, RunConfig())
+        tables = []
+
+        def counted(rows):
+            tables.append(len(rows))
+            return _row_texts(rows)
+
+        monkeypatch.setattr(cli, "_row_texts", counted)
+        assert stdout_text(write_trajectory_csv, u, x, y, RunConfig()) == expected
+        assert tables == [4, 1]
 
     def test_y_zero_of_other_sign_than_x(self):
         cfg = RunConfig()
@@ -859,6 +900,20 @@ class TestFormatOnce:
             "universal": verdict.universal, "pe_order_needed": verdict.pe_order_needed,
             "pe_report": verdict.pe_report.to_dict(),
             "certificate": verdict.counterexample.to_dict(), "config": cfg.to_dict()})
+
+    @pytest.mark.parametrize("samples, n, depth", [
+        (np.ones(6), 2, ["--L0"]),
+        (np.array([1.0, 2.0]), 3, ["--L", "1"]),  # T < n+L-1: short_data_case
+    ], ids=["depth-zero", "short"])
+    def test_certificate_json_is_to_dict(self, tmp_path, samples, n, depth):
+        u, signal, bundle = Signal(samples), tmp_path / "u.csv", tmp_path / "bundle"
+        write_signal_csv(str(signal), u, RunConfig())
+        assert main(["counterexample", str(signal), "--n", str(n), *depth,
+                     "--out", str(bundle)]) == EXIT_OK
+        cert = (construct_certificate_l0(u, n) if depth == ["--L0"]
+                else construct_certificate(u, n, int(depth[1])))
+        assert (bundle / "certificate.json").read_text() == json_text(
+            {**cert.to_dict(), "config": RunConfig().to_dict()})
 
 
 class TestArtifactShape:

@@ -16,7 +16,6 @@ from .adversary import (
     CounterexampleCertificate,
     OutputCounterexample,
     construct_certificate,
-    construct_certificate_l0,
     extend_to_output,
     sample_system_cloud,
     single_input_family,
@@ -36,7 +35,6 @@ from .flemma import (
     UniversalityVerdict,
     check_behavior_equality,
     check_rank_condition,
-    check_state_rank,
     universality_verdict,
 )
 from .lti import (
@@ -67,8 +65,7 @@ __all__ = [
     "RankReport", "Signal", "StateSpaceSystem", "Trajectory",
     "UniversalityVerdict", "ValidationError",
     "behavior_basis", "check_behavior_equality", "check_rank_condition",
-    "check_state_rank", "construct_certificate", "construct_certificate_l0",
-    "extend_to_output", "hankel", "is_controllable", "is_pe", "kernel_basis",
-    "lambda_set", "pe_order", "rank_report", "sample_system_cloud", "simulate",
-    "single_input_family", "stack", "universality_verdict", "verify",
+    "construct_certificate", "extend_to_output", "hankel", "is_controllable", "is_pe",
+    "kernel_basis", "lambda_set", "pe_order", "rank_report", "sample_system_cloud",
+    "simulate", "single_input_family", "stack", "universality_verdict", "verify",
 ]

@@ -10,9 +10,10 @@ eta(z) = sum_i z^i eta_i (decided by evaluating eta, see
 ``numkit.lambda_set``), a backward matrix recursion produces B and the
 initial state, and a Krylov solve produces the annihilators. The
 state-level certificate extends to an output-level one (first output
-row = w) showing the data span misses part of the behavior, and
-specializes to a depth-0 variant (state Hankel rank deficiency) and to
-a dense single-input family where the user picks (A, B).
+row = w) showing the data span misses part of the behavior. Depth
+L = 0 is the state-rank corollary (the bare state Hankel matrix is
+rank-deficient), and a dense single-input family lets the user pick
+(A, B).
 
 Every certificate passes through one check, ``verify(cert, u)``: the
 construction builds, then verifies, and a certificate rebuilt from its
@@ -31,6 +32,7 @@ from .errors import (
     ConstructionError,
     EigenvalueConflictError,
     NearSingularError,
+    NotATrajectoryError,
     PersistentlyExcitingError,
     ValidationError,
 )
@@ -53,7 +55,6 @@ __all__ = [
     "CloudPoint",
     "CloudResult",
     "construct_certificate",
-    "construct_certificate_l0",
     "extend_to_output",
     "single_input_family",
     "sample_system_cloud",
@@ -335,7 +336,7 @@ def _kernel_vector(u, k, rtol, eta_override=None):
     is K's last column, the best-annihilating unit vector, or
     ``eta_override`` ((k, m) or flat) snapped onto the span of K. With
     T < k, H has no columns, r = 0, K is the identity and the default is
-    the last unit vector (``_certify`` passes e_1 instead).
+    the last unit vector (``construct_certificate`` passes e_1 instead).
     Returns (eta as a (k, m) array, ``lambda_set`` of eta).
     """
     T, m = u.length, u.dim
@@ -357,52 +358,6 @@ def _kernel_vector(u, k, rtol, eta_override=None):
         eta_flat = _project_to_kernel(eta_flat, K)
     eta = eta_flat.reshape(k, m)
     return eta, lambda_set(eta, rtol)
-
-
-def _certify(u, n, L, rtol, tol_cert, eta_override, A_override, zeta_override):
-    """Shared engine behind the L >= 1 and L = 0 constructions.
-
-    With T < n+L the depth-(n+L) Hankel matrix has no columns and every
-    eta is a kernel vector. The default there is e_1: it has no common
-    roots, so the scan takes lambda0 = 0, and the recursion gives
-    A = J(0), B = [e_n, 0, ..., 0] and x0 = 0.
-
-    eta is not judged here: ``verify`` refuses a candidate built on an
-    eta that misses the kernel (the closed-form replay departs from the
-    simulated states, or the annihilation exceeds its budget), at every
-    input scale. So the one ConstructionError raised here is the summary
-    of every candidate's failure.
-    """
-    k = n + L
-    if eta_override is None and u.length < k:
-        eta_override = np.eye(k * u.dim)[0]
-    eta, lam = _kernel_vector(u, k, rtol, eta_override)
-
-    if zeta_override is not None:
-        zeta = _override(zeta_override, ((n,),), "zeta")
-    else:
-        zeta = np.zeros(n)
-        zeta[-1] = 1.0
-
-    if A_override is not None:
-        A = as_matrix(A_override, "A")
-        if A.shape != (n, n):
-            raise ValidationError(f"A must be {n}x{n}, got {A.shape}")
-        candidates = [("override", A)]
-    else:
-        # lazy: the scan usually stops at its first candidate
-        candidates = ((lam0, _jordan_block(lam0, n))
-                      for lam0 in _LAMBDA0_CANDIDATES if not lam.contains(lam0))
-
-    failures = []
-    for tag, A in candidates:
-        try:
-            return _try_build(u, n, L, A, zeta, eta, rtol, tol_cert)
-        except ConstructionError as exc:
-            failures.append(f"A[{tag}]: {exc}")
-    raise ConstructionError(
-        "numerical construction failed for all eigenvalue candidates: " + "; ".join(failures)
-    )
 
 
 def _try_build(u, n, L, A, zeta, eta, rtol, tol_cert):
@@ -446,9 +401,10 @@ def verify(cert: CounterexampleCertificate, u: Signal):
 
     Reads only the data fields of ``cert``, so a certificate rebuilt from
     ``certificate.json`` verifies as the constructed one did. ``u`` is
-    the input the states were certified on (for the depth-0 variant, its
-    first T samples). Each bound is relative (``defaults``): data
-    residuals to ``cert.scale(u)`` = max(max|u|, max|x|), model residuals
+    the input the states were certified on, all T of its samples. At
+    L = 0 the stacked matrix is H_1(x(0)..x(T)) alone, v is empty, and
+    the rank must fall below n. Each bound is relative (``defaults``):
+    data residuals to ``cert.scale(u)`` = max(max|u|, max|x|), model residuals
     to their own matrices. The certificate's constructor has already
     checked the arrays' shapes and read n, m, L, T and x0 = states[0]
     off them. With k = n+L, each stored fact is judged once: E_{k-1} by
@@ -536,50 +492,68 @@ def construct_certificate(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT, eta=Non
                           A=None, zeta=None) -> CounterexampleCertificate:
     """Build and verify a counterexample for a non-exciting input.
 
-    Requires that u is not persistently exciting of order n+L, as
-    ``signals.is_pe`` decides it (the report ``peu pe --order n+L``
-    gives). By default A is a Jordan block J(lambda0), scanned over the
-    candidates 0, 1/2, -1/2, 1/4, ..., -15/16 that are not common roots
-    of eta, and zeta is the last basis vector; then the last row of B is
-    eta(lambda0)^T, so (A, B) is controllable exactly when lambda0 is
-    not a common root. ``eta``, ``A`` and ``zeta`` accept overrides (a
-    supplied eta, (n+L, m) or flat, is snapped onto the actual kernel;
-    a supplied zeta has shape (n,)). With T < n+L every eta is a kernel
-    vector and the default is e_1, which gives A = J(0) and
-    B = [e_n, 0, ..., 0]. Every certificate passes ``verify`` before
-    return; a candidate that fails it, or whose states overflow, is
-    skipped.
+    Requires 0 <= L <= T and that u is not persistently exciting of
+    order n+L, as ``signals.is_pe`` decides it (the report ``peu pe
+    --order n+L`` gives). At L = 0 the certificate's w annihilates the
+    bare state row H_1(x(0)..x(T)): the state-rank corollary, on the T
+    samples that drive those states. By default A is a Jordan block
+    J(lambda0), scanned over the candidates 0, 1/2, -1/2, 1/4, ...,
+    -15/16 that are not common roots of eta, and zeta is the last basis
+    vector; then the last row of B is eta(lambda0)^T, so (A, B) is
+    controllable exactly when lambda0 is not a common root. ``eta``,
+    ``A`` and ``zeta`` accept overrides (a supplied eta, (n+L, m) or
+    flat, is snapped onto the actual kernel; a supplied zeta has shape
+    (n,)). With T < n+L the depth-(n+L) Hankel matrix has no columns and
+    every eta is a kernel vector; the default there is e_1, which has no
+    common roots, so the scan takes lambda0 = 0 and gives A = J(0),
+    B = [e_n, 0, ..., 0] and x0 = 0. Every certificate passes ``verify``
+    before return; a candidate that fails it, or whose states overflow,
+    is skipped. eta is not judged here: ``verify`` refuses a candidate
+    built on an eta that misses the kernel (the closed-form replay
+    departs from the simulated states, or the annihilation exceeds its
+    budget), at every input scale.
 
     Raises:
-        ValidationError: an override has the wrong shape or eta is far
-            from the kernel.
+        ValidationError: n < 1, L outside [0, T], an override has the
+            wrong shape, or eta is far from the kernel.
         PersistentlyExcitingError: the input is exciting of order n+L.
         ConstructionError: no eigenvalue candidate produced a verifiable
-            certificate (diagnostics included).
+            certificate (every candidate's failure included).
     """
     u = as_signal(u)
     if n < 1:
         raise ValidationError("n must be positive")
-    _check_depth(u, L)
-    return _certify(u, n, L, rtol, tol_cert, eta, A, zeta)
+    _check_depth(u, L, low=0)
+    k = n + L
+    if eta is None and u.length < k:
+        eta = np.eye(k * u.dim)[0]
+    eta, lam = _kernel_vector(u, k, rtol, eta)
 
+    if zeta is None:
+        zeta = np.zeros(n)
+        zeta[-1] = 1.0
+    else:
+        zeta = _override(zeta, ((n,),), "zeta")
 
-def construct_certificate_l0(u: Signal, n, rtol=RTOL, tol_cert=TOL_CERT, eta=None,
-                             A=None, zeta=None) -> CounterexampleCertificate:
-    """Depth-0 variant: make the bare state Hankel matrix rank-deficient.
+    if A is not None:
+        A = as_matrix(A, "A")
+        if A.shape != (n, n):
+            raise ValidationError(f"A must be {n}x{n}, got {A.shape}")
+        candidates = [("override", A)]
+    else:
+        # lazy: the scan usually stops at its first candidate
+        candidates = ((lam0, _jordan_block(lam0, n))
+                      for lam0 in _LAMBDA0_CANDIDATES if not lam.contains(lam0))
 
-    ``u`` holds T+1 samples u(0)..u(T); the excitation condition is on
-    the first T samples at order n, and the certificate's w annihilates
-    the whole state row H_1(x(0)..x(T)). The final input sample does
-    not influence those states and is ignored by the construction.
-    """
-    u = as_signal(u)
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if u.length < 2:
-        raise ValidationError("need at least two samples (u(0)..u(T) with T >= 1)")
-    prefix = u.window(0, u.length - 1)
-    return _certify(prefix, n, 0, rtol, tol_cert, eta, A, zeta)
+    failures = []
+    for tag, A in candidates:
+        try:
+            return _try_build(u, n, L, A, zeta, eta, rtol, tol_cert)
+        except ConstructionError as exc:
+            failures.append(f"A[{tag}]: {exc}")
+    raise ConstructionError(
+        "numerical construction failed for all eigenvalue candidates: " + "; ".join(failures)
+    )
 
 
 def extend_to_output(cert: CounterexampleCertificate, u: Signal) -> OutputCounterexample:
@@ -603,7 +577,8 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal) -> OutputCounte
     Raises:
         ValidationError: L = 0, or u does not match the certificate.
         ConstructionError: the first check that fails, with its value
-            and bound.
+            and bound, including a behavior re-check that refuses the
+            simulated output data as a trajectory of the system.
     """
     if cert.L < 1:
         raise ValidationError("output-level extension needs L >= 1")
@@ -626,7 +601,10 @@ def extend_to_output(cert: CounterexampleCertificate, u: Signal) -> OutputCounte
     witness_x0 = cert.w / float(cert.w @ cert.w)
     witness_y = Signal(observability_matrix(sys.C, sys.A, L) @ witness_x0)
 
-    behavior_check = check_behavior_equality(sys, u, y, L, cert.rtol)
+    try:
+        behavior_check = check_behavior_equality(sys, u, y, L, cert.rtol)
+    except NotATrajectoryError as exc:  # the input is fine: the re-check refused its own data
+        raise ConstructionError(f"behavior re-check: {exc}") from exc
     if behavior_check.behavior_equal:
         raise ConstructionError("behavior equality unexpectedly holds on certified data")
 

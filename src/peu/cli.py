@@ -107,20 +107,18 @@ def write_signal_csv(path, v: Signal, config: RunConfig):
 def write_trajectory_csv(path, u: Signal, x: Signal, y: Signal, config: RunConfig, x_rows=None):
     """Columns t,u*,x*,y*; T+1 rows, the last with only the state filled.
 
-    ``x_rows``, if given, are x's ``_row_texts``. A row of y is written
-    from x's text wherever it has x's bytes, as for a pair (A, B, I, 0).
-    Where y cannot borrow x's text and x is not given formatted, u, x and
-    y are formatted as one table.
+    ``x_rows``, if given, are x's ``_row_texts``, and a row of y is
+    written from x's text wherever it has x's bytes, as for a pair
+    (A, B, I, 0). Without them u, x and y are formatted as one table.
     """
     T = u.length
     if x.length != T + 1 or y.length != T:
         raise ValidationError("trajectory signals must have lengths T, T+1, T")
     names = ["t"] + [f"{s}{j + 1}" for s, v in zip("uxy", (u, x, y)) for j in range(v.dim)]
-    if x_rows is None and x.dim != y.dim:
+    if x_rows is None:
         rows = _row_texts(np.hstack([u.samples, x.samples[:T], y.samples]).tolist())
         x_rows = _row_texts(x.samples[T:].tolist())  # x(T) alone
     else:
-        x_rows = _row_texts(x.samples.tolist()) if x_rows is None else x_rows
         rows = list(map(",".join, zip(_row_texts(u.samples.tolist()), x_rows,
                                       _reused(x_rows, x.samples, y.samples))))
     rows.append(",".join([*[""] * u.dim, x_rows[-1], *[""] * y.dim]))
@@ -314,12 +312,7 @@ def _load_array_json(path, name):
 # subcommands
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(rtol=args.rtol, tol_cert=args.tol_cert, seed=args.seed)
-
-
-def cmd_pe(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_pe(args, cfg: RunConfig) -> int:
     u = read_signal_csv(args.signal)
     if args.order is not None:
         if not (1 <= args.order <= u.length):
@@ -333,8 +326,7 @@ def cmd_pe(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_simulate(args, cfg: RunConfig) -> int:
     sys_ = read_system_json(args.system)
     u = read_signal_csv(args.signal)
     if args.x0 is None:
@@ -349,8 +341,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_check(args, cfg: RunConfig) -> int:
     sys_ = read_system_json(args.system)
     data = read_trajectory_csv(args.data)
     if "u" not in data or "y" not in data:
@@ -360,8 +351,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if check.behavior_equal else EXIT_FALSE
 
 
-def cmd_universal(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_universal(args, cfg: RunConfig) -> int:
     u = read_signal_csv(args.signal)
     verdict = flemma.universality_verdict(u, args.n, args.L, rtol=cfg.rtol, tol_cert=cfg.tol_cert)
     cert = verdict.counterexample
@@ -377,26 +367,18 @@ def cmd_universal(args) -> int:
     return EXIT_OK if verdict.universal else EXIT_FALSE
 
 
-def cmd_counterexample(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_counterexample(args, cfg: RunConfig) -> int:
     u = read_signal_csv(args.signal)
     files = {"eta": args.override_eta, "A": args.override_A, "zeta": args.override_zeta}
     overrides = {key: _load_array_json(path, key) for key, path in files.items() if path}
 
-    kwargs = dict(rtol=cfg.rtol, tol_cert=cfg.tol_cert, **overrides)
-    if args.L0:
-        if args.L is not None:
-            raise ValidationError("--L and --L0 are mutually exclusive")
-        cert = adversary.construct_certificate_l0(u, args.n, **kwargs)
-    else:
-        if args.L is None:
-            raise ValidationError("--L is required unless --L0 is given")
-        cert = adversary.construct_certificate(u, args.n, args.L, **kwargs)
+    cert = adversary.construct_certificate(u, args.n, args.L, rtol=cfg.rtol,
+                                           tol_cert=cfg.tol_cert, **overrides)
 
     os.makedirs(args.out, exist_ok=True)
     x = cert.trajectory.x  # the construction's own simulation of the certified pair
     x_rows = _row_texts(x.samples.tolist())
-    cert_json = _certificate_json(cert, _reused(x_rows, x.samples, cert.states))
+    cert_json = _certificate_json(cert, x_rows[:len(cert.states)])  # states = x(0..T-L)
     write_json(os.path.join(args.out, "certificate.json"), {**cert_json, "config": cfg.to_dict()})
     # the pair holds copies of A and B = E[-1], so their texts are the certificate's
     write_json(os.path.join(args.out, "system.json"),
@@ -422,8 +404,7 @@ def _certificate_json(cert, state_rows):
             "stacked_rank": cert.stacked_rank.to_dict(), "residuals": dict(cert.residuals)}
 
 
-def cmd_cloud(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_cloud(args, cfg: RunConfig) -> int:
     u = read_signal_csv(args.signal)
     try:
         a_lo, a_hi, z_lo, z_hi = (float(c) for c in args.ranges.split(","))
@@ -521,8 +502,7 @@ def _repro_ex3(cfg: RunConfig, check):
           f"rank={rank}")
 
 
-def cmd_repro(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_repro(args, cfg: RunConfig) -> int:
     failed = []
 
     def check(label, ok, detail=""):
@@ -589,9 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("counterexample", help="construct a counterexample bundle")
     p.add_argument("signal")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--L0", action="store_true",
-                   help="depth-0 variant (state Hankel rank deficiency)")
+    p.add_argument("--L", type=int, required=True,
+                   help="depth L; 0 certifies the state rank of x(0..T)")
     p.add_argument("--override-eta", default=None, help="JSON file with a kernel vector")
     p.add_argument("--override-A", default=None, help="JSON file with the A matrix")
     p.add_argument("--override-zeta", default=None, help="JSON file with the zeta vector")
@@ -618,7 +597,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, RunConfig(rtol=args.rtol, tol_cert=args.tol_cert, seed=args.seed))
     except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -27,7 +27,6 @@ __all__ = [
     "UniversalityVerdict",
     "check_rank_condition",
     "check_behavior_equality",
-    "check_state_rank",
     "universality_verdict",
 ]
 
@@ -75,18 +74,20 @@ def check_rank_condition(u: Signal, x: Signal, L, n, rtol=RTOL) -> RankReport:
     """Rank report on the stacked [H_L(u); H_1(x)] matrix.
 
     ``x`` must hold the states x(0)..x(T-L) of a trajectory driven by u;
-    full row rank means rank = n + L*m.
+    full row rank means rank = n + L*m. L = 0 is the state-rank
+    corollary: H_0(u) has no rows, so the report is on H_1(x) of the
+    T+1 states x(0)..x(T), and full row rank means rank = n.
     """
     u = as_signal(u)
     x = as_signal(x)
-    _check_depth(u, L)
+    _check_depth(u, L, low=0)
     if x.dim != n:
         raise ValidationError(f"state dim {x.dim} does not match n={n}")
     if x.length != u.length - L + 1:
         raise ValidationError(
             f"state length {x.length} must equal T-L+1 = {u.length - L + 1}"
         )
-    M = np.vstack([hankel(u, L), hankel(x, 1)])
+    M = np.vstack([hankel(u, L), hankel(x, 1)]) if L else hankel(x, 1)
     return rank_report(M, rtol)
 
 
@@ -149,17 +150,6 @@ def check_behavior_equality(sys: StateSpaceSystem, u: Signal, y: Signal, L,
         data_span_dim=data_rank,
         behavior_dim=behavior_dim,
     )
-
-
-def check_state_rank(u: Signal, x: Signal, n, rtol=RTOL) -> RankReport:
-    """Row-rank report on the bare state Hankel matrix H_1(x(0)..x(T))."""
-    u = as_signal(u)
-    x = as_signal(x)
-    if x.dim != n:
-        raise ValidationError(f"state dim {x.dim} does not match n={n}")
-    if x.length != u.length + 1:
-        raise ValidationError(f"state length {x.length} must be T+1 = {u.length + 1}")
-    return rank_report(hankel(x, 1), rtol)
 
 
 def universality_verdict(u: Signal, n, L, rtol=RTOL, tol_cert=TOL_CERT) -> UniversalityVerdict:

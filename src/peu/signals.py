@@ -100,10 +100,10 @@ class PEReport:
         }
 
 
-def _check_depth(v: Signal, L):
-    """Refuse a depth ``L`` outside [1, T] with a ValidationError that names L."""
-    if L < 1 or L > v.length:
-        raise ValidationError(f"L={L} out of range [1, {v.length}]")
+def _check_depth(v: Signal, L, low=1):
+    """Refuse a depth ``L`` outside [low, T] with a ValidationError that names L."""
+    if L < low or L > v.length:
+        raise ValidationError(f"L={L} out of range [{low}, {v.length}]")
 
 
 def stack(v: Signal) -> np.ndarray:

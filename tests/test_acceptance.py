@@ -20,9 +20,7 @@ from peu import (
     Signal,
     check_behavior_equality,
     check_rank_condition,
-    check_state_rank,
     construct_certificate,
-    construct_certificate_l0,
     extend_to_output,
     is_controllable,
     is_pe,
@@ -231,8 +229,8 @@ def test_criterion_7_state_rank_corollary():
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         T = n * (m + 1) - 1 + int(rng.integers(0, 5))
         u, _ = non_exciting_input(rng, n, m, 0, T)
-        full = Signal(np.vstack([u.samples, rng.standard_normal((1, m))]))
-        cert = construct_certificate_l0(full, n)
+        rng.standard_normal((1, m))  # u(T), which no certified state sees: drawn, not read
+        cert = construct_certificate(u, n, 0)
         H1x = hankel(Signal(cert.states), 1)
         resid = float(np.abs(cert.w @ H1x).max())
         if resid > 1e-7 * (1.0 + np.abs(cert.states).max()) * (cert.T + 1):
@@ -250,7 +248,7 @@ def test_criterion_7_state_rank_corollary():
         if not is_pe(prefix, n)[0]:
             continue
         traj = simulate(sys, rng.standard_normal(n), prefix)
-        if not check_state_rank(prefix, traj.x, n).full_row_rank:
+        if not check_rank_condition(prefix, traj.x, 0, n).full_row_rank:
             failures.append(f"exciting trial {trial}: state rank deficient")
     report(7, "state spread tracks excitation of order n in both directions", failures)
 

@@ -11,13 +11,13 @@ from peu import (
     ValidationError,
     check_behavior_equality,
     construct_certificate,
-    construct_certificate_l0,
     extend_to_output,
     is_controllable,
     sample_system_cloud,
     simulate,
     single_input_family,
     universality_verdict,
+    verify,
 )
 from peu import adversary, cli
 from peu.adversary import _closed_form_states, _jordan_block, _recursion
@@ -131,7 +131,7 @@ class TestConstructCertificate:
         with pytest.raises(ConstructionError, match="\\(A, zeta\\) is not controllable"):
             construct_certificate(u, 3, 1, A=np.diag([0.5, 0.25, 0.125]))
         with pytest.raises(ConstructionError, match="\\(A, zeta\\) is not controllable"):
-            construct_certificate_l0(Signal(np.array([1.0, 2.0, 3.0])), 4, A=np.eye(4))
+            construct_certificate(Signal(np.array([1.0, 2.0])), 4, 0, A=np.eye(4))
 
     def test_cubic_input_quadruple_root(self):
         # u = t^3 is annihilated by the fourth difference, eta ~ (z - 1)^4,
@@ -155,14 +155,8 @@ class TestConstructCertificate:
     def test_boundary_length_gaussian(self, n, m, L):
         # T = n+L-1: eta = e_1 has no common roots, so the scan stops at J(0);
         # the last unit vector's root at 0 would push it onto J(+-1/2), ...
-        rng = np.random.default_rng(100 * n + 10 * m + L)
-        if L == 0:  # n samples: the construction reads the first n-1
-            full = Signal(rng.standard_normal((n, m)))
-            cert = construct_certificate_l0(full, n)
-            u = full.window(0, n - 1)
-        else:
-            u = Signal(rng.standard_normal((n + L - 1, m)))
-            cert = construct_certificate(u, n, L)
+        u = Signal(np.random.default_rng(100 * n + 10 * m + L).standard_normal((n + L - 1, m)))
+        cert = construct_certificate(u, n, L)
         assert not cert.short_data_case
         np.testing.assert_array_equal(cert.A, _jordan_block(0.0, n))
         certificate_is_sound(cert, u)
@@ -201,39 +195,57 @@ class TestConstructCertificate:
 
 
 class TestConstructCertificateL0:
+    """Depth L = 0: the certificate's w annihilates the bare state row H_1(x(0)..x(T))."""
+
     def test_zero_input(self):
-        cert = construct_certificate_l0(Signal(np.zeros((6, 1))), 2)
+        cert = construct_certificate(Signal(np.zeros((5, 1))), 2, 0)
         assert cert.L == 0 and cert.v.size == 0
         H1x = hankel(Signal(cert.states), 1)
         assert np.abs(cert.w @ H1x).max() <= 1e-10
         assert cert.stacked_rank.rank <= 1
 
     def test_constant_input(self):
-        cert = construct_certificate_l0(Signal(np.ones((6, 1))), 2)
+        cert = construct_certificate(Signal(np.ones((5, 1))), 2, 0)
         H1x = hankel(Signal(cert.states), 1)
         assert np.abs(cert.w @ H1x).max() <= 1e-10
         assert exact_rank(H1x) < 2  # dependence is float-exact for this input
 
     def test_short_data_branch(self):
         # states x(0)..x(1) span at most two directions in R^3
-        u = Signal(np.random.default_rng(13).standard_normal((2, 1)))
-        cert = construct_certificate_l0(u, 3)
+        u = Signal(np.random.default_rng(13).standard_normal((1, 1)))
+        cert = construct_certificate(u, 3, 0)
         assert cert.short_data_case
 
     def test_boundary_length_uses_general_path(self):
-        # prefix of length n-1: the kernel matrix has no columns but the
+        # T = n-1: the kernel matrix has no columns but the
         # recursion still produces a valid annihilating certificate
-        u = Signal(np.random.default_rng(13).standard_normal((3, 1)))
-        cert = construct_certificate_l0(u, 3)
+        u = Signal(np.random.default_rng(13).standard_normal((2, 1)))
+        cert = construct_certificate(u, 3, 0)
         assert not cert.short_data_case
         assert np.abs(cert.w @ hankel(Signal(cert.states), 1)).max() <= 1e-10
 
     def test_state_count(self):
         rng = np.random.default_rng(17)
         u, _ = non_exciting_input(rng, 2, 2, 0, 7)
-        full = Signal(np.vstack([u.samples, rng.standard_normal((1, 2))]))
-        cert = construct_certificate_l0(full, 2)
+        cert = construct_certificate(u, 2, 0)
         assert cert.states.shape == (8, 2)  # x(0)..x(T) with T = 7
+
+
+_JORDAN_PBH = pytest.mark.xfail(raises=ConstructionError, strict=True,
+                                reason="every Jordan candidate fails PBH (ROADMAP item 21)")
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("n", [20, *(pytest.param(n, marks=_JORDAN_PBH) for n in (30, 40))])
+def test_impulse_under_the_jordan_scan(n, L):
+    # u = e_1: every kernel vector vanishes at 0; at n = 20 the scan stops at 1/2
+    u = np.zeros(80)
+    u[0] = 1.0
+    u = Signal(u)
+    cert = construct_certificate(u, n, L)
+    verify(cert, u)
+    certificate_is_sound(cert, u)
+    assert not extend_to_output(cert, u).behavior_check.behavior_equal
 
 
 class TestShortDataMultiInput:
@@ -242,7 +254,7 @@ class TestShortDataMultiInput:
 
     @pytest.mark.parametrize("build", [
         lambda u: construct_certificate(u, 3, 1),   # T=2 < n+L-1 = 3
-        lambda u: construct_certificate_l0(Signal(np.vstack([u.samples, [[1.0, -1.0]]])), 4),
+        lambda u: construct_certificate(u, 4, 0),
     ], ids=["L1", "L0"])
     def test_stock_pair(self, build):
         u = Signal(np.random.default_rng(19).standard_normal((2, 2)))
@@ -261,11 +273,7 @@ class TestShortDataMultiInput:
         T = data.draw(st.integers(max(L, 1), n + L - 1), label="T")
         rng = np.random.default_rng(seed)
         u = Signal(rng.standard_normal((T, m)))
-        if L == 0:  # the depth-0 variant reads one trailing sample it ignores
-            full = Signal(np.vstack([u.samples, rng.standard_normal((1, m))]))
-            cert = construct_certificate_l0(full, n)
-        else:
-            cert = construct_certificate(u, n, L)
+        cert = construct_certificate(u, n, L)
         certificate_is_sound(cert, u)
         assert cert.short_data_case == (T < n + L - 1)
         np.testing.assert_array_equal(cert.eta.ravel(), np.eye((n + L) * m)[0])
@@ -281,8 +289,6 @@ class TestShortDataMultiInput:
         u = Signal(np.ones((2, 2)))
         with pytest.raises(TypeError):
             construct_certificate(u, 3, 1, seed=0)
-        with pytest.raises(TypeError):
-            construct_certificate_l0(u, 3, seed=0)
         with pytest.raises(TypeError):
             universality_verdict(u, 3, 1, seed=0)
 
@@ -318,10 +324,7 @@ class TestClosedFormStates:
         # the replay is an independent check: a 1e-6 relative error in any
         # E_i it reads moves it off the simulated states by more than 1e-8
         u, _ = non_exciting_input(np.random.default_rng(5), n, m, L, T)
-        if L == 0:  # the depth-0 variant reads one trailing sample it ignores
-            cert = construct_certificate_l0(Signal(np.vstack([u.samples, np.zeros((1, m))])), n)
-        else:
-            cert = construct_certificate(u, n, L)
+        cert = construct_certificate(u, n, L)
         args = (cert.A, cert.zeta, cert.eta)
         E = list(cert.E)
         assert _relative_gap(cert.states, _closed_form_states(*args, E, u.samples, n, m, L)) <= 1e-8
@@ -364,11 +367,27 @@ class TestExtendToOutput:
         # D = 0: the first witness output needs no dynamics at all
         assert out.witness_y.samples[0, 0] == float(cert.w @ out.witness_x0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_refused_recheck_is_a_construction_error(self, m, seed):
+        # A = Q J(1/2) Q^T, Q the orthonormal DCT-II matrix: the certificate verifies, but
+        # the behavior re-check refuses the simulated output data as a trajectory, which
+        # is the construction's failure, not an input error
+        n, T = 20, 200
+        k, j = np.ogrid[:n, :n]
+        Q = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * k / (2 * n))
+        Q[0] /= np.sqrt(2.0)
+        u = np.zeros((T, m))
+        u[:10] = np.random.default_rng(seed).standard_normal((10, m))
+        u = Signal(u)
+        cert = construct_certificate(u, n, 2, A=Q @ _jordan_block(0.5, n) @ Q.T)
+        with pytest.raises(ConstructionError, match="^behavior re-check: .* not a trajectory"):
+            extend_to_output(cert, u)
+
     def test_depth_zero_unsupported(self):
         u, _ = non_exciting_input(np.random.default_rng(29), 2, 1, 0, 6)
-        full = Signal(np.vstack([u.samples, np.zeros((1, 1))]))
-        cert = construct_certificate_l0(full, 2)
-        with pytest.raises(ValidationError):
+        cert = construct_certificate(u, 2, 0)
+        with pytest.raises(ValidationError, match="needs L >= 1"):
             extend_to_output(cert, u)
 
 
@@ -645,10 +664,9 @@ def _mismatched_extension():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: construct_certificate(_U8, 0, 1), "n must be positive"),
-    (lambda: construct_certificate(_U8, 2, 0), "L=0 out of range"),
-    (lambda: construct_certificate(_U8, 2, 9), "L=9 out of range"),
-    (lambda: construct_certificate_l0(_U8, 0), "n must be positive"),
-    (lambda: construct_certificate_l0(Signal([1.0]), 2), "need at least two samples"),
+    (lambda: construct_certificate(_U8, 2, -1), "L=-1 out of range [0, 8]"),
+    (lambda: construct_certificate(_U8, 2, 9), "L=9 out of range [0, 8]"),
+    (lambda: construct_certificate(_U8, 0, 0), "n must be positive"),
     (lambda: single_input_family(Signal(np.ones((8, 2))), 2, 1, np.eye(2), [1.0, 1.0]),
      "requires m = 1"),
     (lambda: single_input_family(_U8, 0, 1, np.eye(2), [1.0, 1.0]), "n must be positive"),
@@ -657,7 +675,7 @@ def _mismatched_extension():
     (lambda: single_input_family(_U8, 2, 1, np.eye(2), [1.0, 1.0, 1.0]),
      "B must have shape (2,) or (2, 1), got (3,)"),
     (lambda: single_input_family(_U8, 2, 1, np.eye(2), [0.0, 0.0]), "B must be nonzero"),
-    (lambda: sample_system_cloud(_U8, 0, [[0.5, 1.0]]), "L=0 out of range"),
+    (lambda: sample_system_cloud(_U8, 0, [[0.5, 1.0]]), "L=0 out of range [1, 8]"),
     # (a, zeta) rows only: neither a pair per column nor a flat list is re-paired
     (lambda: sample_system_cloud(_U8, 1, [[0.1, 0.3, 2.0], [1.0, 0.5, 0.2]]),
      "pairs must have shape (N, 2) or (0,), got (2, 3)"),
@@ -676,7 +694,7 @@ def _mismatched_extension():
      "zeta must have shape (2,), got (3,)"),
     (lambda: construct_certificate(_U8, 2, 1, A=np.eye(3)), "A must be 2x2"),
     (_mismatched_extension, "input signal does not match the certificate"),
-], ids=["n", "L-low", "L-high", "l0-n", "l0-length", "family-m", "family-n", "family-L",
+], ids=["n", "L-low", "L-high", "l0-n", "family-m", "family-n", "family-L",
         "family-A", "family-B-size", "family-B-zero", "cloud-L", "cloud-pairs-by-column",
         "cloud-pairs-flat", "family-B-row", "eta-size", "eta-shape",
         "zeta-row", "zeta-size", "A-shape", "extension-signal"])

@@ -16,7 +16,6 @@ from peu import (
     PersistentlyExcitingError,
     Signal,
     construct_certificate,
-    construct_certificate_l0,
     hankel,
     is_controllable,
     is_pe,
@@ -214,19 +213,22 @@ class TestFormats:
                     == json_text({"m": target.tolist(), "v": target[0].tolist()}))
 
     def test_trajectory_formats_one_table_when_y_is_fresh(self, monkeypatch):
-        # p != n: y cannot borrow x's text, so u, x(0..T-1) and y are one table, x(T) a row
+        # without x's texts y borrows nothing, so u, x(0..T-1) and y are one table and x(T)
+        # a row: for p != n, and for p = n with y = x(0..T-1), as for a pair (A, B, I, 0)
         rng = np.random.default_rng(5)
         u, x, y = (Signal(rng.standard_normal(shape)) for shape in ((4, 2), (5, 3), (4, 1)))
-        expected = trajectory_csv_loop(u, x, y, RunConfig())
-        tables = []
+        for y in (y, Signal(x.samples[:4])):
+            expected = trajectory_csv_loop(u, x, y, RunConfig())
+            tables = []
 
-        def counted(rows):
-            tables.append(len(rows))
-            return _row_texts(rows)
+            def counted(rows):
+                tables.append(len(rows))
+                return _row_texts(rows)
 
-        monkeypatch.setattr(cli, "_row_texts", counted)
-        assert stdout_text(write_trajectory_csv, u, x, y, RunConfig()) == expected
-        assert tables == [4, 1]
+            monkeypatch.setattr(cli, "_row_texts", counted)
+            assert stdout_text(write_trajectory_csv, u, x, y, RunConfig()) == expected
+            monkeypatch.undo()
+            assert tables == [4, 1]
 
     def test_y_zero_of_other_sign_than_x(self):
         cfg = RunConfig()
@@ -480,23 +482,21 @@ class TestCounterexample:
         assert not bundle.exists()
 
     def test_depth_zero_flag(self, tmp_path):
+        # --L 0 certifies the T samples it reads, as verify reads them
         sig = tmp_path / "ones.csv"
-        write_signal_csv(str(sig), Signal(np.ones(6)), RunConfig())
+        write_signal_csv(str(sig), Signal(np.ones(5)), RunConfig())
         bundle = tmp_path / "out"
-        assert main(["counterexample", str(sig), "--n", "2", "--L0",
+        assert main(["counterexample", str(sig), "--n", "2", "--L", "0",
                      "--out", str(bundle)]) == EXIT_OK
         cert = json.loads((bundle / "certificate.json").read_text())
-        assert cert["L"] == 0 and cert["v"] == []
+        assert cert["L"] == 0 and cert["T"] == 5 and cert["v"] == []
+        assert len(cert["states"]) == 6  # x(0)..x(T)
 
-    def test_depth_and_depth_zero_flags_conflict(self, tmp_path, capsys):
-        sig = tmp_path / "ones.csv"
-        write_signal_csv(str(sig), Signal(np.ones(7)), RunConfig())
-        bundle = tmp_path / "out"
-        code = main(["counterexample", str(sig), "--n", "2", "--L", "3", "--L0",
-                     "--out", str(bundle)])
-        assert code == EXIT_INPUT
-        assert "--L and --L0" in capsys.readouterr().err
-        assert not bundle.exists()
+    def test_depth_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", EX1_INPUT, "--n", "2"])
+        assert exc.value.code == EXIT_INPUT
+        assert "the following arguments are required: --L" in capsys.readouterr().err
 
     def test_exciting_input_is_input_error(self, tmp_path):
         sig = tmp_path / "g.csv"
@@ -759,8 +759,8 @@ _SYS_JSON = '{"A": [[0.5]], "B": [[1]], "C": [[1]], "D": [[0]]}'
     ({}, ["simulate", EX1_SYSTEM, EX1_INPUT, "--x0=1"], "x0 size 1 does not match system n=2"),
     ({}, ["cloud", EX3_INPUT, "--L", "2", "--ranges", "0,1,1"], "--ranges must be amin,amax"),
     ({}, ["cloud", EX3_INPUT, "--L", "2", "--samples", "-1"], "--samples must be non-negative"),
-    ({}, ["counterexample", EX1_INPUT, "--n", "2", "--out", "{out}"],
-     "--L is required unless --L0 is given"),
+    ({}, ["counterexample", EX1_INPUT, "--n", "2", "--L", "4", "--out", "{out}"],
+     "L=4 out of range [0, 3]"),
     ({"eta": json.dumps(np.ones((2, 2, 2)).tolist())},
      ["counterexample", EX2_INPUT, "--n", "3", "--L", "1", "--override-eta", "{eta}",
       "--out", "{out}"], "eta must have shape (4, 2) or (8,), got (2, 2, 2)"),
@@ -770,7 +770,7 @@ _SYS_JSON = '{"A": [[0.5]], "B": [[1]], "C": [[1]], "D": [[0]]}'
 ], ids=["signal-empty", "signal-ragged", "signal-no-samples", "data-empty", "data-first-column",
         "data-column", "data-cell", "data-partial-row", "data-no-y", "system-json",
         "system-field", "system-declared-n", "order-low", "order-high", "x0-text", "x0-size",
-        "ranges", "samples", "missing-L", "eta-shape", "zeta-shape"])
+        "ranges", "samples", "L-high", "eta-shape", "zeta-shape"])
 def test_refused_arguments(tmp_path, capsys, files, argv, message):
     paths = {"out": str(tmp_path / "out")}
     for name, text in files.items():
@@ -786,7 +786,7 @@ class TestParserReuse:
 
     RUNS = [
         ["pe", EX1_INPUT, "--out", "{d}/pe.json"],
-        ["counterexample", EX1_INPUT, "--n", "2", "--L", "1", "--L0", "--out", "{d}/bad"],
+        ["counterexample", EX1_INPUT, "--n", "2", "--L", "-1", "--out", "{d}/bad"],
         ["counterexample", EX2_INPUT, "--n", "3", "--L", "1", "--out", "{d}/bundle"],
         ["check", "{d}/bundle/system.json", "{d}/bundle/trajectory.csv", "--L", "1",
          "--out", "{d}/check.json"],
@@ -901,17 +901,16 @@ class TestFormatOnce:
             "pe_report": verdict.pe_report.to_dict(),
             "certificate": verdict.counterexample.to_dict(), "config": cfg.to_dict()})
 
-    @pytest.mark.parametrize("samples, n, depth", [
-        (np.ones(6), 2, ["--L0"]),
-        (np.array([1.0, 2.0]), 3, ["--L", "1"]),  # T < n+L-1: short_data_case
+    @pytest.mark.parametrize("samples, n, L", [
+        (np.ones(5), 2, 0),
+        (np.array([1.0, 2.0]), 3, 1),  # T < n+L-1: short_data_case
     ], ids=["depth-zero", "short"])
-    def test_certificate_json_is_to_dict(self, tmp_path, samples, n, depth):
+    def test_certificate_json_is_to_dict(self, tmp_path, samples, n, L):
         u, signal, bundle = Signal(samples), tmp_path / "u.csv", tmp_path / "bundle"
         write_signal_csv(str(signal), u, RunConfig())
-        assert main(["counterexample", str(signal), "--n", str(n), *depth,
+        assert main(["counterexample", str(signal), "--n", str(n), "--L", str(L),
                      "--out", str(bundle)]) == EXIT_OK
-        cert = (construct_certificate_l0(u, n) if depth == ["--L0"]
-                else construct_certificate(u, n, int(depth[1])))
+        cert = construct_certificate(u, n, L)
         assert (bundle / "certificate.json").read_text() == json_text(
             {**cert.to_dict(), "config": RunConfig().to_dict()})
 

@@ -11,9 +11,7 @@ from peu import (
     ValidationError,
     check_behavior_equality,
     check_rank_condition,
-    check_state_rank,
     construct_certificate,
-    construct_certificate_l0,
     is_pe,
     pe_order,
     simulate,
@@ -205,6 +203,8 @@ class TestSimilarityInvariance:
 
 
 class TestCheckStateRank:
+    """The state-rank corollary: ``check_rank_condition`` at L = 0 reads H_1(x(0)..x(T))."""
+
     def test_exciting_input_full_state_rank(self):
         rng = np.random.default_rng(103)
         for _ in range(10):
@@ -215,19 +215,18 @@ class TestCheckStateRank:
             if not is_pe(u.window(0, T - 1) if T > 1 else u, n)[0]:
                 continue
             traj = simulate(sys, rng.standard_normal(n), u.window(0, T - 1))
-            rep = check_state_rank(u.window(0, T - 1), traj.x, n)
+            rep = check_rank_condition(u.window(0, T - 1), traj.x, 0, n)
             assert rep.full_row_rank
 
     def test_zero_states(self):
-        rep = check_state_rank(Signal(np.ones(4)), Signal(np.zeros((5, 2))), 2)
+        rep = check_rank_condition(Signal(np.ones(4)), Signal(np.zeros((5, 2))), 0, 2)
         assert rep.rank == 0
 
     def test_depth_zero_certificate_states(self):
         rng = np.random.default_rng(107)
         u, _ = non_exciting_input(rng, 2, 1, 0, 6)
-        full = Signal(np.vstack([u.samples, rng.standard_normal((1, 1))]))
-        cert = construct_certificate_l0(full, 2)
-        rep = check_state_rank(u, Signal(cert.states), 2)
+        cert = construct_certificate(u, 2, 0)
+        rep = check_rank_condition(u, Signal(cert.states), 0, 2)
         assert rep.rank < 2
 
 
@@ -312,7 +311,7 @@ _SYS = StateSpaceSystem(np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 2)), np.ze
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: check_rank_condition(_U6, np.zeros((6, 2)), 0, 2), "L=0 out of range"),
+    (lambda: check_rank_condition(_U6, np.zeros((8, 2)), -1, 2), "L=-1 out of range [0, 6]"),
     (lambda: check_rank_condition(_U6, np.zeros((5, 3)), 2, 2), "state dim 3 does not match n=2"),
     (lambda: check_rank_condition(_U6, np.zeros((6, 2)), 2, 2),
      "state length 6 must equal T-L+1 = 5"),
@@ -320,10 +319,11 @@ _SYS = StateSpaceSystem(np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 2)), np.ze
      "data dimensions do not match the system"),
     (lambda: check_behavior_equality(_SYS, _U6, np.ones(5), 1),
      "input and output must have the same length"),
-    (lambda: check_behavior_equality(_SYS, _U6, np.ones(6), 7), "L=7 out of range"),
-    (lambda: check_state_rank(_U6, np.zeros((7, 3)), 2), "state dim 3 does not match n=2"),
-    (lambda: check_state_rank(_U6, np.zeros((6, 2)), 2), "state length 6 must be T+1 = 7"),
-    (lambda: universality_verdict(_U6, 2, 0), "L=0 out of range"),
+    (lambda: check_behavior_equality(_SYS, _U6, np.ones(6), 7), "L=7 out of range [1, 6]"),
+    (lambda: check_rank_condition(_U6, np.zeros((7, 3)), 0, 2), "state dim 3 does not match n=2"),
+    (lambda: check_rank_condition(_U6, np.zeros((6, 2)), 0, 2),
+     "state length 6 must equal T-L+1 = 7"),
+    (lambda: universality_verdict(_U6, 2, 0), "L=0 out of range [1, 6]"),
     (lambda: universality_verdict(_U6, 0, 1), "n must be positive"),
 ], ids=["rank-L", "rank-state-dim", "rank-state-length", "behavior-data-dim",
         "behavior-length", "behavior-L", "state-rank-dim", "state-rank-length",

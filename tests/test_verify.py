@@ -15,7 +15,6 @@ from peu import (
     Signal,
     ValidationError,
     construct_certificate,
-    construct_certificate_l0,
     extend_to_output,
     verify,
 )
@@ -57,11 +56,11 @@ class TestBundlesVerify:
         assert srep.rank == 4
 
     def test_depth_zero(self, tmp_path):
-        samples = np.ones(6)
+        samples = np.ones(5)
         cert, _ = _bundle(tmp_path, "l0", _signal_file(tmp_path, "ones.csv", samples),
-                          "--n", "2", "--L0")
+                          "--n", "2", "--L", "0")
         assert cert.L == 0
-        _, srep = verify(cert, Signal(samples[:-1]))  # the depth-0 states see u(0..T-1)
+        _, srep = verify(cert, Signal(samples))  # the file the bundle was built from
         assert srep.rank < cert.n
 
     def test_short_data(self, tmp_path):
@@ -112,10 +111,7 @@ class TestTamperedCertificates:
     @pytest.mark.parametrize("n,m,L,T", [(3, 1, 2, 11), (4, 2, 1, 16), (2, 3, 0, 9)])
     def test_bent_recursion_fails_closed_form(self, n, m, L, T):
         u, _ = non_exciting_input(np.random.default_rng(5), n, m, L, T)
-        if L == 0:  # the depth-0 variant reads one trailing sample it ignores
-            cert = construct_certificate_l0(Signal(np.vstack([u.samples, np.zeros((1, m))])), n)
-        else:
-            cert = construct_certificate(u, n, L)
+        cert = construct_certificate(u, n, L)
         verify(cert, u)
         k = n + L
         for i in range(k - 1):
@@ -278,8 +274,8 @@ class TestOneSimulationPerCandidate:
         assert counts == {"tries": 1, "simulate": 3}
 
     def test_depth_zero(self, tmp_path, counts):
-        sig = _signal_file(tmp_path, "ones.csv", np.ones(6))
-        assert main(["counterexample", str(sig), "--n", "2", "--L0",
+        sig = _signal_file(tmp_path, "ones.csv", np.ones(5))
+        assert main(["counterexample", str(sig), "--n", "2", "--L", "0",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
         assert counts == {"tries": 1, "simulate": 1}
 

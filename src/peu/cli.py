@@ -8,6 +8,14 @@ Formats:
   without it.
 - Trajectory CSV: columns ``t,u*,x*,y*`` with T+1 rows; the final row
   holds only the post-input state (u/y cells empty).
+- Both readers accept comment rows (first cell starting with ``#``) and
+  blank rows anywhere, ``\n``, ``\r\n`` or ``\r`` line ends, quoted
+  cells and whitespace around a cell. Every row after the header is
+  exactly as wide as the header. The t column is ignored; every other
+  cell is a number as ``float`` reads it, and in a trajectory a group's
+  cells in one row are all numbers or all empty.
+- ``peu pe --up-to K`` lists orders 1..K of the excitation scan, a
+  prefix of the full listing, entry for entry.
 - Cloud CSV: columns ``a,b*,x0,verified``, one row per point; the
   comment line ends in ``skipped=K``.
 - System JSON: ``{"n","m","p","A","B","C","D"}`` with row-major arrays.
@@ -27,6 +35,7 @@ malformed files), 3 checked false, 4 numerical construction failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -77,26 +86,15 @@ class RunConfig:
 
 
 def read_signal_csv(path) -> Signal:
-    """Read a signal CSV with header t,u1,...,um (comment lines allowed)."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValidationError(f"{path}: empty signal file")
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 2 or header[0] != "t":
-        raise ValidationError(f"{path}: expected header t,u1,...,um, got {header}")
-    m = len(header) - 1
-    data = []
-    for r in rows[1:]:
-        if len(r) != m + 1:
-            raise ValidationError(f"{path}: row has {len(r)} cells, expected {m + 1}")
-        try:
-            data.append([float(c) for c in r[1:]])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: non-numeric cell: {exc}") from exc
-    if not data:
+    """Read a signal table with header t,u1,...,um (see ``_read_table``)."""
+    def check(header):
+        if len(header) < 2 or header[0] != "t":
+            raise ValidationError(f"{path}: expected header t,u1,...,um, got {header}")
+
+    values, _ = _read_table(path, "signal file", check)
+    if not len(values):
         raise ValidationError(f"{path}: no samples")
-    return Signal(np.asarray(data))
+    return Signal(values)
 
 
 def write_signal_csv(path, v: Signal, config: RunConfig):
@@ -148,39 +146,90 @@ def _write_csv(path, comment, names, lines):
 
 
 def read_trajectory_csv(path):
-    """Read a t,u*,x*,y* table; returns a dict of signals present.
+    """Read a t,u*,x*,y* table (see ``_read_table``); returns a dict of the signals present.
 
-    Rows with empty cells in a group are excluded from that group's
-    signal, so the state keeps its extra final sample.
+    In each row a group's cells are all filled or all empty, and a row
+    whose cells are empty is left out of that group's signal, so the
+    state keeps its extra final sample.
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header[0] != "t":
-        raise ValidationError(f"{path}: first column must be t")
     groups = {}
-    for idx, name in enumerate(header[1:], start=1):
-        key = name.rstrip("0123456789")
-        if key not in ("u", "x", "y") or name == key:
-            raise ValidationError(f"{path}: unexpected column {name}")
-        groups.setdefault(key, []).append(idx)
+
+    def check(header):
+        if header[0] != "t":
+            raise ValidationError(f"{path}: first column must be t")
+        for idx, name in enumerate(header[1:]):
+            key = name.rstrip("0123456789")
+            if key not in ("u", "x", "y") or name == key:
+                raise ValidationError(f"{path}: unexpected column {name}")
+            groups.setdefault(key, []).append(idx)
+
+    values, blank = _read_table(path, "file", check, blanks=True)
     out = {}
     for key, cols in groups.items():
-        vals = []
-        for r in rows[1:]:
-            cells = [r[c].strip() if c < len(r) else "" for c in cols]
-            if all(cells):
-                try:
-                    vals.append([float(c) for c in cells])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: non-numeric cell: {exc}") from exc
-            elif any(cells):
-                raise ValidationError(f"{path}: partially filled {key} row")
-        if vals:
-            out[key] = Signal(np.asarray(vals))
+        empty = blank[:, cols].sum(axis=1)
+        if ((empty > 0) & (empty < len(cols))).any():
+            raise ValidationError(f"{path}: partially filled {key} row")
+        if not empty.all():
+            out[key] = Signal(values[np.ix_(empty == 0, cols)])
     return out
+
+
+def _read_table(path, what, check, blanks=False):
+    """The values of the CSV table at ``path``, and where its cells are empty.
+
+    A table is read as ``csv.reader`` reads it: rows end at a line end
+    outside quotes, and cells are cut at commas and unquoted. A row is
+    left out when it is empty or when its first cell, leading whitespace
+    stripped, starts with ``#``. The first row left is the header: its
+    cells, stripped, go to ``check``, which raises if they are wrong.
+    Every later row must have as many cells as the header. The t column
+    is ignored, and every other cell must be a number as ``float``
+    reads it; with ``blanks``, as ``float`` reads it stripped, and a cell
+    that strips to nothing reads as NaN and is marked in the mask.
+
+    One ``np.loadtxt`` call reads the rows: its float64 parse is
+    correctly rounded, as ``float``'s is. With ``blanks`` the empty
+    cells of the last row, if it ends in one, are read as ``nan``: a
+    trajectory that ``peu`` writes leaves cells empty there only. A
+    table that numpy refuses (empty cells in another row among them) or
+    may read otherwise than ``float`` (a character in \\x1c-\\x1f,
+    which numpy strips around a number; a ``nan`` cell) is read again
+    cell by cell. That names the fault, or reads what only ``float``
+    accepts, such as ``1_000``.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if '"' in text:  # join the lines that a quoted cell spans, so that a row is a line
+        reader = csv.reader(lines)
+        ends = [0, *(reader.line_num for _ in reader)]
+        lines = ["\n".join(lines[a:b]) for a, b in zip(ends, ends[1:])]
+    lines = [line for line in lines if line and not (
+        "#" in line and next(csv.reader([line]))[0].lstrip().startswith("#"))]
+    if not lines:
+        raise ValidationError(f"{path}: empty {what}")
+    check(header := [c.strip() for c in next(csv.reader(lines))])
+    body, values = lines[1:], None
+    if blanks and body and body[-1].endswith(","):  # read its empty cells as nan
+        body[-1] = body[-1].replace(",,", ",nan,").replace(",,", ",nan,") + "nan"
+    if body and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(body, delimiter=",", quotechar='"', comments=None, ndmin=2)[:, 1:]
+    if values is not None and values.shape == (len(body), len(header) - 1) and \
+            np.isnan(values).sum() == (len(body[-1]) - len(lines[-1])) // 3:
+        return values, np.isnan(values)
+    values, blank = [], []  # read again cell by cell
+    for row in csv.reader(lines[1:]):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row has {len(row)} cells, expected {len(header)}")
+        cells = [c.strip() for c in row[1:]] if blanks else row[1:]
+        try:
+            values.append([float(c) if c or not blanks else np.nan for c in cells])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: non-numeric cell: {exc}") from exc
+        blank.append([not c for c in cells])
+    shape = (len(values), len(header) - 1)
+    return np.reshape(values, shape), np.reshape(blank, shape).astype(bool)
 
 
 def read_system_json(path) -> StateSpaceSystem:
@@ -321,7 +370,7 @@ def cmd_pe(args, cfg: RunConfig) -> int:
         write_json(args.out, {"order": args.order, "is_pe": ok,
                               "rank_report": rep.to_dict(), "config": cfg.to_dict()})
         return EXIT_OK if ok else EXIT_FALSE
-    report = pe_order(u, cfg.rtol)
+    report = pe_order(u, cfg.rtol, up_to=args.up_to)
     write_json(args.out, {**report.to_dict(), "config": cfg.to_dict()})
     return EXIT_OK
 
@@ -536,37 +585,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, func, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser("pe", help="excitation order report for a signal")
+    p = add_parser("pe", cmd_pe, help="excitation order report for a signal")
     p.add_argument("signal")
-    p.add_argument("--order", type=int, default=None, help="check one order only")
+    depth = p.add_mutually_exclusive_group()
+    depth.add_argument("--order", type=int, default=None, help="check one order only")
+    depth.add_argument("--up-to", dest="up_to", type=int, default=None, metavar="K",
+                       help="list orders 1..K only (default: every order)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pe)
 
-    p = add_parser("simulate", help="simulate a system on an input signal")
+    p = add_parser("simulate", cmd_simulate, help="simulate a system on an input signal")
     p.add_argument("system")
     p.add_argument("signal")
     p.add_argument("--x0", default=None, help="comma-separated initial state (default 0)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
 
-    p = add_parser("check", help="behavior-equality check for recorded data")
+    p = add_parser("check", cmd_check, help="behavior-equality check for recorded data")
     p.add_argument("system")
     p.add_argument("data")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
 
-    p = add_parser("universal", help="universality verdict for an input")
+    p = add_parser("universal", cmd_universal, help="universality verdict for an input")
     p.add_argument("signal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_universal)
 
-    p = add_parser("counterexample", help="construct a counterexample bundle")
+    p = add_parser("counterexample", cmd_counterexample, help="construct a counterexample bundle")
     p.add_argument("signal")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True,
@@ -575,20 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override-A", default=None, help="JSON file with the A matrix")
     p.add_argument("--override-zeta", default=None, help="JSON file with the zeta vector")
     p.add_argument("--out", default=".", help="output directory (default .)")
-    p.set_defaults(func=cmd_counterexample)
 
-    p = add_parser("cloud", help="sample scalar-state counterexample systems")
+    p = add_parser("cloud", cmd_cloud, help="sample scalar-state counterexample systems")
     p.add_argument("signal")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--ranges", default="-1,1,-1,1",
                    help="amin,amax,zmin,zmax (default %(default)s)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_cloud)
 
-    p = add_parser("repro", help="reproduce a packaged reference example")
+    p = add_parser("repro", cmd_repro, help="reproduce a packaged reference example")
     p.add_argument("example", choices=("ex1", "ex2", "ex3"))
-    p.set_defaults(func=cmd_repro)
 
     return parser
 

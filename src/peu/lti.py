@@ -139,10 +139,10 @@ def simulate(sys: StateSpaceSystem, x0, u: Signal) -> Trajectory:
     x = np.empty((T + 1, sys.n))
     x[0] = x0
     x[1:] = np.matmul(sys.B, U)[:, :, 0]
-    A = sys.A
+    step = sys.A.dot  # bound once: the same gemv as ``A @ x_t``, without the operator lookup
     rows = list(x)
     for x_t, x_next in zip(rows, rows[1:]):
-        x_next += A @ x_t
+        x_next += step(x_t)
     y = np.matmul(sys.C, x[:T, :, None])[:, :, 0] + np.matmul(sys.D, U)[:, :, 0]
     return Trajectory(u=u, x=Signal(x), y=Signal(y))
 

@@ -6,12 +6,18 @@ entries are (convertible to) fractions; the rational construction
 replica replays the counterexample recursion in exact arithmetic so the
 claimed rank deficiency can be confirmed without tolerances. The loop
 oracles spell out, one sample or one block at a time, what the
-library computes with stacked array products.
+library computes with stacked array products. The reading oracle is
+the CSV readers as they were before one ``np.loadtxt`` call read the
+values: ``csv.reader`` rows and one ``float`` call per cell.
 """
 
+import csv
 from fractions import Fraction
 
 import numpy as np
+
+from peu.errors import ValidationError
+from peu.signals import Signal
 
 
 def to_fractions(M):
@@ -275,3 +281,65 @@ def cloud_csv_loop(cloud, config):
         cells = [cloud.a[i], *cloud.b[i], cloud.x0[i]]
         lines.append(",".join([repr(float(c)) for c in cells] + ["1" if cloud.verified[i] else "0"]))
     return "\n".join(lines) + "\n"
+
+
+# -- CSV tables read one cell at a time -----------------------------------------
+
+
+def read_signal_csv_by_cell(path) -> Signal:
+    """Read a signal CSV with header t,u1,...,um (comment lines allowed)."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValidationError(f"{path}: empty signal file")
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 2 or header[0] != "t":
+        raise ValidationError(f"{path}: expected header t,u1,...,um, got {header}")
+    m = len(header) - 1
+    data = []
+    for r in rows[1:]:
+        if len(r) != m + 1:
+            raise ValidationError(f"{path}: row has {len(r)} cells, expected {m + 1}")
+        try:
+            data.append([float(c) for c in r[1:]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: non-numeric cell: {exc}") from exc
+    if not data:
+        raise ValidationError(f"{path}: no samples")
+    return Signal(np.asarray(data))
+
+
+def read_trajectory_csv_by_cell(path):
+    """Read a t,u*,x*,y* table; returns a dict of signals present.
+
+    Rows with empty cells in a group are excluded from that group's
+    signal, so the state keeps its extra final sample.
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if header[0] != "t":
+        raise ValidationError(f"{path}: first column must be t")
+    groups = {}
+    for idx, name in enumerate(header[1:], start=1):
+        key = name.rstrip("0123456789")
+        if key not in ("u", "x", "y") or name == key:
+            raise ValidationError(f"{path}: unexpected column {name}")
+        groups.setdefault(key, []).append(idx)
+    out = {}
+    for key, cols in groups.items():
+        vals = []
+        for r in rows[1:]:
+            cells = [r[c].strip() if c < len(r) else "" for c in cols]
+            if all(cells):
+                try:
+                    vals.append([float(c) for c in cells])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: non-numeric cell: {exc}") from exc
+            elif any(cells):
+                raise ValidationError(f"{path}: partially filled {key} row")
+        if vals:
+            out[key] = Signal(np.asarray(vals))
+    return out

@@ -289,6 +289,32 @@ class TestPE:
         assert main(["pe", str(sig), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["max_order"] == 0
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 8, 13, 20])
+    def test_up_to_lists_a_prefix_of_the_full_listing(self, tmp_path, K):
+        # 40 x 2 samples of three sinusoids: the cap is 13 and the excitation order 2
+        t = np.arange(40.0)[:, None]
+        u = np.hstack([np.sin(0.5 * t) + np.sin(1.3 * t), np.cos(0.7 * t)])
+        sig, full, part = tmp_path / "u.csv", tmp_path / "full.json", tmp_path / "part.json"
+        write_signal_csv(str(sig), Signal(u), RunConfig())
+        assert main(["pe", str(sig), "--out", str(full)]) == EXIT_OK
+        assert main(["pe", str(sig), "--up-to", str(K), "--out", str(part)]) == EXIT_OK
+        full, part = json.loads(full.read_text()), json.loads(part.read_text())
+        assert (len(full["per_order"]), full["max_order"]) == (13, 2)
+        assert json.dumps(part["per_order"]) == json.dumps(full["per_order"][:K])
+        assert part["max_order"] == min(K, 2) and part["config"] == full["config"]
+
+    def test_up_to_and_order_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pe", EX1_INPUT, "--order", "1", "--up-to", "2"])
+        assert exc.value.code == EXIT_INPUT
+        assert "argument --up-to: not allowed with argument --order" in capsys.readouterr().err
+
+    def test_up_to_must_be_positive(self, tmp_path, capsys):
+        out = tmp_path / "pe.json"
+        assert main(["pe", EX1_INPUT, "--up-to", "0", "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: up_to=0 must be a positive order\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_reference_states(self, tmp_path, ex2_input, ex2_values, ex2_states):
